@@ -15,6 +15,10 @@ Available kinds:
   Convexified(g, r)  g(|f|^r)^(1/r)
   Intersect(g1, g2)  inf{g1(u) + g2(v) : |f| = u + v, u, v >= 0},
                      estimated by per-atom splitting (upper bound)
+
+Lp and WeakL1 use the row kernels of `qnlab.spaces`.  Fields with entries
+within 1e+-300 are evaluated to about 1e-12 relative; a value beyond the
+float range raises InputError, so no overflowed value is ever tagged.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ import numpy as np
 from .bounds import BoundResult, Tag
 from .errors import GaugeDefinitionError, InputError
 from .measure import MeasureSpace, ScalarField, VectorField
+from .spaces import _lp_kappa, _lp_rows, _weak_l1_rows
 
 # relative bracket width for the Luxemburg bisection used by eval_gauge;
 # tight enough that gauge homogeneity survives at 1e-12 relative
@@ -276,7 +281,7 @@ class Gauge:
     def value(self, space: MeasureSpace, f: ScalarField) -> float:
         if len(f) != len(space):
             raise InputError("field and space atom counts differ")
-        return float(self._value_rows(space, np.abs(f.values)[None, :])[0])
+        return _in_range(float(self._value_rows(space, np.abs(f.values)[None, :])[0]))
 
     def result(self, space: MeasureSpace, f: ScalarField) -> BoundResult:
         return BoundResult(self.value(space, f), Tag.EXACT)
@@ -295,18 +300,14 @@ class Lp(Gauge):
             raise InputError("Lp gauge needs p > 0")
 
     def known_kappa(self) -> Optional[float]:
-        return 1.0 if self.p >= 1.0 else 2.0 ** (1.0 / self.p - 1.0)
+        return _lp_kappa(self.p)
 
     @property
     def convexity_p(self) -> Optional[float]:
         return min(self.p, 1.0)
 
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
-        w = space.weights
-        p = self.p
-        if p == 1.0:
-            return rows @ w
-        return (rows**p @ w) ** (1.0 / p)
+        return _lp_rows(rows, self.p, space.weights)
 
     def label(self) -> str:
         return f"L{self.p:g}"
@@ -320,11 +321,7 @@ class WeakL1(Gauge):
         return 2.0
 
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
-        w = space.weights
-        order = np.argsort(-rows, axis=1, kind="stable")
-        vals = np.take_along_axis(rows, order, axis=1)
-        cum = np.cumsum(w[order], axis=1)
-        return np.max(vals * cum, axis=1)
+        return _weak_l1_rows(rows, space.weights)
 
     def label(self) -> str:
         return "weakL1"
@@ -338,8 +335,7 @@ class Orlicz(Gauge):
 
     def known_kappa(self) -> Optional[float]:
         if self.phi.name.startswith("power(") and self.phi.p is not None:
-            p = self.phi.p
-            return 1.0 if p >= 1.0 else 2.0 ** (1.0 / p - 1.0)
+            return _lp_kappa(self.phi.p)
         return None
 
     @property
@@ -373,12 +369,19 @@ class Convexified(Gauge):
         cp = self.base.convexity_p
         return None if cp is None else min(cp * self.r, 1.0)
 
+    # g(|f|^r)^(1/r) = m * g((|f|/m)^r)^(1/r) for any m > 0 by homogeneity;
+    # m = max |f| (1 for a zero field) keeps (|f|/m)^r within [0, 1]
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
-        return self.base._value_rows(space, rows**self.r) ** (1.0 / self.r)
+        m = rows.max(axis=1)
+        m[m == 0] = 1.0
+        scaled = (rows / m[:, None]) ** self.r
+        return m * self.base._value_rows(space, scaled) ** (1.0 / self.r)
 
     def result(self, space: MeasureSpace, f: ScalarField) -> BoundResult:
-        inner = self.base.result(space, ScalarField(np.abs(f.values) ** self.r))
-        return BoundResult(inner.value ** (1.0 / self.r), inner.tag, tol=inner.tol)
+        m = float(np.max(np.abs(f.values))) or 1.0
+        inner = self.base.result(space, ScalarField((np.abs(f.values) / m) ** self.r))
+        value = _in_range(m * inner.value ** (1.0 / self.r))
+        return BoundResult(value, inner.tag, tol=inner.tol)
 
     def label(self) -> str:
         return f"({self.base.label()})^({self.r:g})"
@@ -409,6 +412,13 @@ class Intersect(Gauge):
 # ---------------------------------------------------------------------------
 # public evaluation entry points
 # ---------------------------------------------------------------------------
+
+def _in_range(value: float) -> float:
+    """The value, if finite; the kernels are range-safe, so inf means it overflows."""
+    if not math.isfinite(value):
+        raise InputError(f"gauge value exceeds the float range ({value!r})")
+    return value
+
 
 def eval_gauge(g: Gauge, space: MeasureSpace, f: ScalarField) -> BoundResult:
     """Evaluate a gauge on a scalar field; |f| is used for signed fields."""
@@ -535,7 +545,7 @@ def dual_gauge(
             u[k] = 1.0 / w[k]
             return BoundResult(float(vals[k]), Tag.EXACT, witness=ScalarField(u))
         q = g.p / (g.p - 1.0)
-        value = float((w @ vals**q) ** (1.0 / q))
+        value = float(_lp_rows(vals[None, :], q, w)[0])
         if value == 0.0:
             return BoundResult(0.0, Tag.EXACT, witness=ScalarField(np.zeros_like(vals)))
         u = (vals / value) ** (q / g.p)

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import InputError
-from .spaces import QuasiNormedSpace
+from .spaces import QuasiNormedSpace, _weak_l1_rows
 
 
 @dataclass(frozen=True)
@@ -163,19 +163,16 @@ def decreasing_rearrangement(
     order = np.argsort(-f.values, kind="stable")
     vals = f.values[order]
     cum = np.cumsum(space.weights[order])
-    out: List[Tuple[float, float]] = []
-    for v, c in zip(vals, cum):
-        if out and out[-1][0] == v:
-            out[-1] = (v, float(c))
-        else:
-            out.append((float(v), float(c)))
-    return out
+    last = np.append(vals[1:] != vals[:-1], True)  # the last atom of each run of ties
+    return list(zip(vals[last].tolist(), cum[last].tolist()))
 
 
 def weak_l1_value(space: MeasureSpace, f: ScalarField) -> float:
     """sup_s s*mu{f > s} via the rearrangement closed form max_k v_k * m_k."""
-    pairs = decreasing_rearrangement(space, f)
-    return max((v * m for v, m in pairs), default=0.0)
+    if f.signed:
+        raise InputError("weak-L1 value needs an unsigned field")
+    _check_same_length(space, f)
+    return float(_weak_l1_rows(f.values[None, :], space.weights)[0])
 
 
 # ---------------------------------------------------------------------------

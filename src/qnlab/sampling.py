@@ -6,14 +6,9 @@ are systematically included alongside generic noise.
 """
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
-from .measure import MeasureSpace, Partition
-
-FIELD_STYLES = ("uniform", "spiky", "sparse", "decay", "flat")
-MATRIX_STYLES = ("uniform", "identity", "scaled_identity", "rank1", "sparse")
+from .measure import Partition
 
 
 def random_values(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
@@ -31,16 +26,7 @@ def random_values(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
     if style == "decay":
         base = rng.uniform(0.3, 0.9)
         return base ** np.arange(n) * rng.uniform(0.5, 1.5, n)
-    if style == "flat":
-        return np.full(n, rng.uniform(0.5, 1.5))
     raise ValueError(f"unknown field style {style!r}")
-
-
-def field_stream(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """(count, n) array cycling through the field styles."""
-    return np.array(
-        [random_values(rng, n, FIELD_STYLES[i % len(FIELD_STYLES)]) for i in range(count)]
-    )
 
 
 def random_family(

@@ -1,4 +1,4 @@
-"""Finite-dimensional quasi-normed targets for vector-valued fields.
+"""Finite-dimensional quasi-normed targets, and the row kernels behind every quasi-norm.
 
 A target space is R^dim equipped with one of:
 
@@ -11,6 +11,10 @@ The modulus of concavity kappa is the smallest constant with
 ||x + y|| <= kappa (||x|| + ||y||); for l_q with q < 1 it equals
 2^(1/q - 1), for weak-l1 it is 2, for norms it is 1.  For custom
 evaluators the stored value is a caller-asserted bound.
+
+Each quasi-norm has one row kernel, `_lp_rows` or `_weak_l1_rows`, shared
+with `qnlab.gauges` and `qnlab.measure`.  Entries within 1e+-300 are
+evaluated to about 1e-12 relative; a value beyond the float range is inf.
 """
 from __future__ import annotations
 
@@ -25,13 +29,51 @@ _HOMOGENEITY_RTOL = 1e-12
 # fixed probe set used by validation; not configurable on purpose
 _PROBE_SCALES = (2.0, 0.5, 3.7)
 
+# a power sum below tiny/eps may have lost over eps (relative) to underflow
+_SUM_MIN = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _lp_rows(rows: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
+    """(sum_j w_j a_j^p)^(1/p) for each row a of a nonnegative (m, n) array.
+
+    For p <= 1 the power sum leaves the float range only with the value.  For
+    p > 1 the rows whose sum is non-finite or below _SUM_MIN are redone scaled
+    by their maximum m (Blue 1978): m * (sum_j w_j (a_j/m)^p)^(1/p).
+    """
+    if p <= 1.0:
+        return rows @ weights if p == 1.0 else (rows**p @ weights) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # overflowed rows are redone below
+        sums = rows**p @ weights
+    out = sums ** (1.0 / p)
+    if sums.size and not (_SUM_MIN <= sums.min() and sums.max() < np.inf):
+        redo = ~((sums >= _SUM_MIN) & (sums < np.inf))
+        a = rows[redo]
+        m = a.max(axis=1)
+        out[redo] = m * ((a / np.where(m > 0, m, 1.0)[:, None]) ** p @ weights) ** (1.0 / p)
+    return out
+
+
+def _weak_l1_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """max_k v_k * W_k for each row of a nonnegative (m, n) array (0 when n = 0):
+    v is the row sorted decreasingly, W_k the mass of its k largest entries.
+    Equal weights need only a sort; unequal ones an argsort to carry them."""
+    if (weights == weights[:1]).all():
+        v = np.sort(rows, axis=1)[:, ::-1]
+        return np.max(v * np.cumsum(weights), axis=1, initial=0.0)
+    order = np.argsort(-rows, axis=1, kind="stable")
+    v = np.take_along_axis(rows, order, axis=1)
+    return np.max(v * np.cumsum(weights[order], axis=1), axis=1)
+
+
+def _lp_kappa(p: float) -> float:
+    """Modulus of concavity of l_p and L_p: 2^(1/p - 1) for p < 1, else 1."""
+    return 1.0 if p >= 1.0 else 2.0 ** (1.0 / p - 1.0)
+
 
 def weak_l1_vector_norm(v: np.ndarray) -> float:
     """max_k k * (k-th largest |entry|), the weak-l1 norm over unit atoms."""
-    a = np.sort(np.abs(np.asarray(v, dtype=float)).ravel())[::-1]
-    if a.size == 0:
-        return 0.0
-    return float(np.max(a * np.arange(1, a.size + 1)))
+    a = np.abs(np.asarray(v, dtype=float)).ravel()
+    return float(_weak_l1_rows(a[None, :], np.ones(a.size))[0])
 
 
 @dataclass(frozen=True)
@@ -60,6 +102,7 @@ class QuasiNormedSpace:
                 raise InputError("custom target needs kappa >= 1")
         else:
             raise InputError(f"unknown target kind {self.kind!r}")
+        object.__setattr__(self, "_unit_weights", np.ones(self.dim))
         self._validate()
 
     # -- norm evaluation ----------------------------------------------------
@@ -68,16 +111,7 @@ class QuasiNormedSpace:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise InputError(f"expected vector of shape ({self.dim},), got {v.shape}")
-        if self.kind == "lq":
-            q = self.q
-            if q == 1.0:
-                return float(np.sum(np.abs(v)))
-            if q == 2.0:
-                return float(np.linalg.norm(v))
-            return float(np.sum(np.abs(v) ** q) ** (1.0 / q))
-        if self.kind == "weak_l1":
-            return weak_l1_vector_norm(v)
-        return float(self.evaluator(v))
+        return float(self.norms(v[None, :])[0])
 
     def norms(self, vs: np.ndarray) -> np.ndarray:
         """Row-wise norms of an (n, dim) array."""
@@ -85,22 +119,15 @@ class QuasiNormedSpace:
         if vs.ndim != 2 or vs.shape[1] != self.dim:
             raise InputError(f"expected (n, {self.dim}) array, got {vs.shape}")
         if self.kind == "lq":
-            q = self.q
-            if q == 1.0:
-                return np.sum(np.abs(vs), axis=1)
-            if q == 2.0:
-                return np.linalg.norm(vs, axis=1)
-            return np.sum(np.abs(vs) ** q, axis=1) ** (1.0 / q)
+            return _lp_rows(np.abs(vs), self.q, self._unit_weights)
         if self.kind == "weak_l1":
-            a = np.sort(np.abs(vs), axis=1)[:, ::-1]
-            ranks = np.arange(1, vs.shape[1] + 1)
-            return np.max(a * ranks, axis=1)
+            return _weak_l1_rows(np.abs(vs), self._unit_weights)
         return np.array([self.evaluator(v) for v in vs], dtype=float)
 
     @property
     def kappa(self) -> float:
         if self.kind == "lq":
-            return 1.0 if self.q >= 1.0 else 2.0 ** (1.0 / self.q - 1.0)
+            return _lp_kappa(self.q)
         if self.kind == "weak_l1":
             return 2.0
         return float(self.kappa_custom)
@@ -112,18 +139,15 @@ class QuasiNormedSpace:
     # -- construction-time sanity checks ------------------------------------
 
     def _validate(self) -> None:
-        basis = np.eye(self.dim)
-        for e in basis:
-            n = self.norm(e)
-            if not (n > 0.0) or not np.isfinite(n):
-                raise InputError("norm must be positive and finite on basis vectors")
+        n = self.norms(np.eye(self.dim))
+        if not np.all((n > 0.0) & np.isfinite(n)):
+            raise InputError("norm must be positive and finite on basis vectors")
         # homogeneity on a fixed deterministic probe set
         probe = np.cos(np.arange(1, self.dim + 1, dtype=float))
-        base = self.norm(probe)
-        if base > 0:
-            for t in _PROBE_SCALES:
-                if abs(self.norm(t * probe) - t * base) > _HOMOGENEITY_RTOL * t * base:
-                    raise InputError("norm evaluator is not positively homogeneous")
+        ts = np.array(_PROBE_SCALES)
+        base, *scaled = self.norms(np.vstack([probe, ts[:, None] * probe]))
+        if base > 0 and np.any(np.abs(scaled - ts * base) > _HOMOGENEITY_RTOL * ts * base):
+            raise InputError("norm evaluator is not positively homogeneous")
 
 
 def lq_space(dim: int, q: float) -> QuasiNormedSpace:

@@ -2,6 +2,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run, and no per-example
+# deadline lets a loaded machine's timing jitter fail them
+settings.register_profile("qnlab", derandomize=True, deadline=None)
+settings.load_profile("qnlab")
 
 
 @pytest.fixture

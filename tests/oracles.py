@@ -6,6 +6,7 @@ raw gauge evaluation.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -22,6 +23,27 @@ from qnlab import (
     cube_average,
     gauge_values_rows,
 )
+
+
+def lp_oracle(values: Sequence[float], weights: Sequence[float], p: float) -> float:
+    """(sum w |f|^p)^(1/p) with |f| divided by its maximum m before the powers
+    are taken, the terms summed by math.fsum and the result scaled back by m,
+    so no power leaves the float range whatever the magnitude of f."""
+    a = [abs(float(x)) for x in values]
+    m = max(a, default=0.0)
+    if m == 0.0:
+        return 0.0
+    return m * math.fsum(float(w) * (x / m) ** p for w, x in zip(weights, a)) ** (1.0 / p)
+
+
+def weak_l1_oracle(values: Sequence[float], weights: Sequence[float]) -> float:
+    """sup_s s * mu{|f| > s} as max over the values v of v * mu{|f| >= v}, each
+    level-set mass summed directly by math.fsum (no sorting, O(n^2))."""
+    a = [abs(float(x)) for x in values]
+    return max(
+        (v * math.fsum(float(w) for w, x in zip(weights, a) if x >= v) for v in a),
+        default=0.0,
+    )
 
 
 def intersect_oracle(

@@ -8,6 +8,7 @@ from qnlab import (
     weak_l1_space,
     weak_l1_vector_norm,
 )
+from oracles import lp_oracle, weak_l1_oracle
 
 
 def test_lq_norm_closed_forms():
@@ -26,7 +27,12 @@ def test_norms_rowwise_matches_norm():
         vs = rng.standard_normal((20, 4))
         batch = X.norms(vs)
         single = np.array([X.norm(v) for v in vs])
-        assert np.allclose(batch, single, rtol=1e-14, atol=0.0)
+        if X.kind == "lq":
+            want = np.array([lp_oracle(v, np.ones(4), X.q) for v in vs])
+        else:
+            want = np.array([weak_l1_oracle(v, np.ones(4)) for v in vs])
+        assert np.allclose(batch, want, rtol=1e-14, atol=0.0)
+        assert np.allclose(single, want, rtol=1e-14, atol=0.0)
 
 
 def test_weak_l1_vector_norm_values():
