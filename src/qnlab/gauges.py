@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -551,44 +551,27 @@ def dual_gauge(
         u = (vals / value) ** (q / g.p)
         return BoundResult(value, Tag.EXACT, witness=ScalarField(u))
 
-    def pay(u: np.ndarray) -> float:
-        return float(np.dot(w * vals, u))
-
-    def project(u: np.ndarray) -> Optional[np.ndarray]:
-        nrm = g._value_rows(space, u[None, :])[0]
-        if nrm <= 0 or not np.isfinite(nrm):
-            return None
-        return u / nrm
-
-    best_u = np.zeros_like(vals)
-    best = 0.0
-    candidates = []
-    for k in range(vals.size):  # mass concentrated on one atom
-        e = np.zeros_like(vals)
-        e[k] = 1.0
-        candidates.append(e)
-    if np.any(vals > 0):
-        candidates.append(vals.copy())  # proportional profile
+    # one projection onto the unit sphere of g for the spikes, the proportional
+    # profile and the random candidates; a zero row (f = 0) has no projection
+    pay = w * vals
+    budget = max(0, int(budget))
     rng = np.random.default_rng(seed)
-    for _ in range(max(0, int(budget))):
-        candidates.append(rng.random(vals.size))
-
-    for cand in candidates:
-        u = project(cand)
-        if u is None:
-            continue
-        v = pay(u)
-        if v > best:
-            best, best_u = v, u
+    cands = np.vstack([np.eye(vals.size), vals, rng.random((budget, vals.size))])
+    nrm = g._value_rows(space, cands)
+    ok = (nrm > 0) & np.isfinite(nrm)
+    us = cands / np.where(ok, nrm, 1.0)[:, None]
+    pays = np.where(ok, us @ pay, 0.0)
+    j = int(np.argmax(pays))
+    best, best_u = (float(pays[j]), us[j]) if pays[j] > 0 else (0.0, np.zeros_like(vals))
     # multiplicative hill climb around the incumbent
     step = 0.5
-    u = best_u.copy()
-    for it in range(max(0, int(budget))):
+    u = best_u
+    for it in range(budget):
         pert = u * np.exp(step * rng.standard_normal(u.size))
-        pu = project(pert)
-        if pu is not None and pay(pu) > best:
-            best, best_u = pay(pu), pu
-            u = pu
+        nrm = g._value_rows(space, pert[None, :])[0]
+        if nrm > 0 and np.isfinite(nrm) and np.dot(pay, pert / nrm) > best:
+            u = best_u = pert / nrm
+            best = float(np.dot(pay, u))
         if (it + 1) % 25 == 0:
             step *= 0.7
     return BoundResult(best, Tag.LOWER, witness=ScalarField(best_u))
@@ -646,12 +629,9 @@ def concavity_modulus_probe(
             b = rng.random(n)
         pairs.append((a, b))
 
-    best = 0.0
-    best_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    rows = np.array([np.concatenate([a, b, a + b]) for a, b in pairs])
-    va = g._value_rows(space, rows[:, :n])
-    vb = g._value_rows(space, rows[:, n : 2 * n])
-    vab = g._value_rows(space, rows[:, 2 * n :])
+    ab = np.array(pairs)  # (T, 2, n)
+    rows = np.vstack([ab[:, 0], ab[:, 1], ab[:, 0] + ab[:, 1]])
+    va, vb, vab = g._value_rows(space, rows).reshape(3, -1)
     denom = va + vb
     ok = denom > 0
     ratios = np.where(ok, vab / np.where(ok, denom, 1.0), 0.0)

@@ -41,7 +41,8 @@ def _lp_rows(rows: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
     by their maximum m (Blue 1978): m * (sum_j w_j (a_j/m)^p)^(1/p).
     """
     if p <= 1.0:
-        return rows @ weights if p == 1.0 else (rows**p @ weights) ** (1.0 / p)
+        with np.errstate(over="ignore"):  # a value beyond the float range is inf
+            return rows @ weights if p == 1.0 else (rows**p @ weights) ** (1.0 / p)
     with np.errstate(over="ignore"):  # overflowed rows are redone below
         sums = rows**p @ weights
     out = sums ** (1.0 / p)

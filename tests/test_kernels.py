@@ -24,6 +24,7 @@ from qnlab import (
     eval_vector_gauge,
     gauge_values_rows,
     lq_space,
+    p_envelope,
     weak_l1_space,
 )
 from oracles import lp_oracle, weak_l1_oracle
@@ -68,6 +69,17 @@ def test_convexified_gauge_on_field_whose_power_overflows():
     res = eval_gauge(g, counting_space(2), ScalarField(np.array([1e200, 1.0])))
     assert res.value == pytest.approx(1e200, rel=1e-13, abs=0.0)
     assert res.tag is Tag.EXACT
+
+
+def test_envelope_of_a_field_whose_gauge_powers_overflow():
+    # every candidate's gauge values are near 1e200, so their squares overflow
+    f = ScalarField(np.array([1e200, 3e199]))
+    res = p_envelope(Lp(1.0), 2.0, counting_space(2), f, budget=8)
+    assert np.isfinite(res.value) and res.tag is Tag.UPPER
+    assert res.witness.check_sums_to(f)
+    parts = res.witness.matrix()
+    want = lp_oracle([lp_oracle(r, np.ones(2), 1.0) for r in parts], np.ones(len(parts)), 2.0)
+    assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_value_beyond_the_float_range_raises():
