@@ -12,9 +12,9 @@ bounds with explicit witnesses; none of them prove global constants.
 Each probe draws its whole candidate set first and prices it in one row
 call (a fixed few for the lattice and interchange probes), then takes the
 first best candidate as its witness; sums (sum_j rho(f_j)^p)^(1/p) go
-through the range-safe `spaces._lp_rows`.  Batched Orlicz values agree with
-one-row values to the Luxemburg tolerance, since the rows of a batch
-bisect in lockstep.
+through the range-safe `spaces._lp_rows`.  A batched Orlicz value equals
+the row's one-row value bitwise: every Luxemburg row bisects the same
+bracket for the same number of steps.
 """
 from __future__ import annotations
 

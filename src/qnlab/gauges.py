@@ -11,7 +11,9 @@ Available kinds:
   WeakL1             sup_s s * mu{|f| > s}  =  max_k v_k * m_k over the
                      decreasing rearrangement (closed form, exact)
   Orlicz(phi)        Luxemburg gauge inf{t > 0 : sum w phi(|f|/t) <= 1},
-                     found by bracketed bisection
+                     found by geometric bisection of a fixed bracket for a
+                     number of steps set by tol (power kernels: the Lp
+                     closed form)
   Convexified(g, r)  g(|f|^r)^(1/r)
   Intersect(g1, g2)  inf{g1(u) + g2(v) : |f| = u + v, u, v >= 0},
                      estimated by per-atom splitting (upper bound)
@@ -40,6 +42,11 @@ DEFAULT_LUX_TOL = 1e-13
 
 _ORLICZ_GRID = np.logspace(-9.0, 3.0, 1000)
 
+# in units of its row maximum a Luxemburg root lies in this bracket: a root
+# below _LUX_LO (about 1e-18) reads as 0, and a level sum above 1 at _LUX_HI
+# means the kernel defines no gauge
+_LUX_LO, _LUX_HI = 2.0 ** -60, 2.0 ** 200
+
 
 # ---------------------------------------------------------------------------
 # Orlicz functions
@@ -50,6 +57,8 @@ class OrliczFunction:
     """A nondecreasing function phi with phi(0) = 0 used as a Luxemburg kernel.
 
     Builtins: power(p) -> t^p, loglog -> t*log(e + 1/t), rational -> t/(1+t).
+    p is set only for the power kernel t^p; Orlicz gauges then take the Lp
+    closed form instead of bisecting.
     Concavity, when claimed, is verified by a midpoint check on a fixed log
     grid at construction time.
     """
@@ -95,9 +104,7 @@ class OrliczFunction:
         us = np.logspace(-9.0, 0.0, 64)
         denom = self.evaluator(us)
         ok = denom > 0
-        ms = np.array(
-            [float(np.max(self.evaluator(t * us[ok]) / denom[ok])) for t in ts]
-        )
+        ms = np.max(self.evaluator(ts[:, None] * us[ok]) / denom[ok], axis=1)
         monotone = bool(np.all(np.diff(ms) <= 1e-12 * np.maximum(1.0, ms[:-1])))
         verified = monotone and ms[-1] < 1e-3
         return {"verified": verified, "scan": ms, "monotone": monotone}
@@ -157,7 +164,7 @@ def builtin_phi(name: str, p: Optional[float] = None) -> OrliczFunction:
 
 
 # ---------------------------------------------------------------------------
-# Luxemburg gauge by bracketed bisection
+# Luxemburg gauge by geometric bisection
 # ---------------------------------------------------------------------------
 
 def _lux_rows(
@@ -165,64 +172,36 @@ def _lux_rows(
 ) -> np.ndarray:
     """Row-wise Luxemburg gauge of a nonnegative (m, n) array.
 
-    Brackets by doubling/halving (at most 200 steps each way), then bisects
-    until the bracket is narrower than tol * t.  Rows whose level sum never
+    In units of its row maximum each root lies in [_LUX_LO, _LUX_HI]; every
+    row bisects that bracket geometrically for the same number of steps,
+    fixed by tol, which leaves hi/lo <= 1 + tol.  So a row's value does not
+    depend on the other rows of its batch.  Rows whose level sum never
     exceeds 1 (possible for bounded kernels on tiny supports) get value 0:
     the infimum is genuinely 0 there.
     """
     rows = np.asarray(rows, dtype=float)
-    m, _ = rows.shape
-    out = np.zeros(m)
+    out = np.zeros(rows.shape[0])
     scale = rows.max(axis=1)
     act = scale > 0
     if not np.any(act):
         return out
-    a = rows[act]
-    w = weights
-    sc = scale[act]
-
-    def level(ts: np.ndarray) -> np.ndarray:
-        return (w * phi(a / ts[:, None])).sum(axis=1)
-
-    hi = sc.copy()
-    for _ in range(200):
-        bad = level(hi) > 1.0
-        if not np.any(bad):
-            break
-        hi[bad] *= 2.0
-    else:
-        raise GaugeDefinitionError("Luxemburg bracket expansion failed upward")
-
-    lo = hi.copy()
-    floor = sc * 1e-18
-    degenerate = np.zeros(lo.shape, dtype=bool)
-    for _ in range(200):
-        probe = lo / 2.0
-        still = (level(probe) <= 1.0) & ~degenerate
-        if not np.any(still):
-            break
-        hi[still] = probe[still]
-        lo[still] = probe[still]
-        degenerate |= lo < floor
-    lo = lo / 2.0  # now level(lo) > 1 for non-degenerate rows
-
-    live = ~degenerate
-    if np.any(live):
-        lo_l, hi_l = lo[live], hi[live]
-        a_live, = np.where(live)
-        for _ in range(120):
-            if np.all(hi_l - lo_l <= tol * hi_l):
-                break
-            mid = 0.5 * (lo_l + hi_l)
-            le = (w * phi(a[a_live] / mid[:, None])).sum(axis=1) <= 1.0
-            hi_l = np.where(le, mid, hi_l)
-            lo_l = np.where(le, lo_l, mid)
-        res = np.zeros(lo.shape)
-        res[live] = 0.5 * (lo_l + hi_l)
-        out_act = res
-    else:
-        out_act = np.zeros(lo.shape)
-    out[act] = out_act
+    a = rows[act] / scale[act, None]
+    lo = np.full(a.shape[0], _LUX_LO)
+    hi = np.full(a.shape[0], _LUX_HI)
+    # ln(hi/lo) halves with each step until hi/lo <= 1 + tol; 9 steps narrow
+    # the bracket below one octave, and after 64 it cannot shrink in floats
+    span = math.log(_LUX_HI / _LUX_LO)
+    steps = min(max(math.ceil(math.log2(span / math.log1p(tol))), 9), 64)
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            mid = np.sqrt(lo * hi)
+            le = (weights * phi(a / mid[:, None])).sum(axis=1) <= 1.0
+            hi = np.where(le, mid, hi)
+            lo = np.where(le, lo, mid)
+        value = scale[act] * np.sqrt(lo * hi)
+    if np.any(hi == _LUX_HI):
+        raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
+    out[act] = np.where(lo == _LUX_LO, 0.0, value)
     return out
 
 
@@ -238,8 +217,8 @@ def luxemburg(
     zero field, and 0 when no positive t pushes the level sum above 1
     (bounded kernels on small supports).
     """
-    if tol <= 0:
-        raise InputError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InputError("tolerance must be positive and finite")
     vals = np.abs(f.values)
     w = np.ones(vals.size) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != vals.shape:
@@ -333,6 +312,10 @@ class Orlicz(Gauge):
     tol: float = DEFAULT_LUX_TOL
     kind: str = field(default="orlicz", init=False)
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.tol < math.inf:
+            raise InputError("Luxemburg tolerance must be positive and finite")
+
     def known_kappa(self) -> Optional[float]:
         if self.phi.name.startswith("power(") and self.phi.p is not None:
             return _lp_kappa(self.phi.p)
@@ -344,7 +327,10 @@ class Orlicz(Gauge):
             return min(self.phi.p, 1.0)
         return None
 
+    # the Luxemburg gauge of the power kernel t^p is the L_p closed form
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
+        if self.phi.p is not None:
+            return _lp_rows(rows, self.phi.p, space.weights)
         return _lux_rows(self.phi, rows, space.weights, self.tol)
 
     def result(self, space: MeasureSpace, f: ScalarField) -> BoundResult:

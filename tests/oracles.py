@@ -11,12 +11,14 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from qnlab import (
     CubeSpec,
     Gauge,
     GridSpace,
     MeasureSpace,
+    OrliczFunction,
     QuasiNormedSpace,
     ScalarField,
     VectorField,
@@ -34,6 +36,30 @@ def lp_oracle(values: Sequence[float], weights: Sequence[float], p: float) -> fl
     if m == 0.0:
         return 0.0
     return m * math.fsum(float(w) * (x / m) ** p for w, x in zip(weights, a)) ** (1.0 / p)
+
+
+def lux_oracle(
+    phi: OrliczFunction, values: Sequence[float], weights: Sequence[float]
+) -> float:
+    """inf{t > 0 : sum w phi(|f|/t) <= 1} by brentq on the level sum in units of
+    the row maximum m (t = m s), each level sum taken by math.fsum; 0 when the
+    level sum never exceeds 1, i.e. still not at s = 1e-18."""
+    a = [abs(float(x)) for x in values]
+    m = max(a, default=0.0)
+    if m == 0.0:
+        return 0.0
+
+    def excess(s: float) -> float:
+        phis = phi(np.array([x / m / s for x in a]))
+        return math.fsum(float(w) * float(v) for w, v in zip(weights, phis)) - 1.0
+
+    lo = 1e-18
+    if excess(lo) <= 0.0:
+        return 0.0
+    hi = 1.0
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    return m * brentq(excess, lo, hi, xtol=1e-300, rtol=1e-15, maxiter=500)
 
 
 def weak_l1_oracle(values: Sequence[float], weights: Sequence[float]) -> float:

@@ -155,6 +155,10 @@ def test_malformed_inputs_exit_two(capsys):
         ["eval", "--gauge", "@/no/such/file.json", "--space",
          '{"weights": [1.0]}', "--field", '{"values": [1.0]}'],
         ["rolewicz", "--p", "1.5", "--n", "4"],
+        ["eval", "--gauge", '{"kind": "orlicz", "phi": "loglog", "tol": 0}',
+         "--space", '{"weights": [1.0]}', "--field", '{"values": [1.0]}'],
+        ["eval", "--gauge", '{"kind": "orlicz", "phi": "loglog", "tol": NaN}',
+         "--space", '{"weights": [1.0]}', "--field", '{"values": [1.0]}'],
         ["eval", "--gauge", '{"kind": "lp", "p": 1.0}',
          "--space", '{"weights": [1.0, -1.0]}', "--field",
          '{"values": [1.0, 1.0]}'],

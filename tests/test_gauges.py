@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -77,17 +79,32 @@ def test_luxemburg_matches_lp_for_power_kernel():
     # spec invariant: the bisected Luxemburg gauge of the power kernel and
     # the Lp closed form agree within twice the bisection tolerance
     rng = np.random.default_rng(3)
+    tol = 1e-13
     for p in (0.5, 1.0, 2.0):
         phi = builtin_phi("power", p)
         lp = Lp(p)
-        orl = Orlicz(phi)  # tol = DEFAULT_LUX_TOL
         for _ in range(40):
             n = int(rng.integers(1, 7))
             s = MeasureSpace(rng.uniform(0.2, 2.0, size=n))
             f = ScalarField(np.exp(rng.uniform(-2, 2, size=n)))
             want = eval_gauge(lp, s, f).value
-            got = eval_gauge(orl, s, f)
-            assert abs(got.value - want) <= 2.0 * got.tol * want
+            got = luxemburg(phi, f, tol=tol, weights=s.weights)
+            assert abs(got - want) <= 2.0 * tol * want
+
+
+def test_orlicz_power_kernel_is_the_lp_closed_form():
+    g = Orlicz(builtin_phi("power", 0.5))
+    assert eval_gauge(g, counting_space(2), ScalarField(np.array([1.0, 4.0]))).value == 9.0
+
+
+def test_luxemburg_tolerance_must_be_positive_and_finite():
+    phi = builtin_phi("loglog")
+    f = ScalarField(np.array([1.0, 2.0]))
+    for tol in (0.0, -1e-13, math.nan, math.inf):
+        with pytest.raises(InputError):
+            Orlicz(phi, tol=tol)
+        with pytest.raises(InputError):
+            luxemburg(phi, f, tol=tol)
 
 
 def test_luxemburg_function_counting_and_weighted():
@@ -111,6 +128,62 @@ def test_loglog_luxemburg_singleton_anchor():
     assert v == pytest.approx(1.4203701180201165, rel=1e-10)
     phi = builtin_phi("loglog")
     assert float(phi(np.array([1.0 / v]))[0]) == pytest.approx(1.0, abs=1e-11)
+
+
+def test_luxemburg_batch_values_equal_single_row_values_bitwise():
+    # every row bisects the same bracket for the same number of steps, so
+    # its value cannot depend on the rows it is batched with
+    rng = np.random.default_rng(15)
+    s = MeasureSpace(np.array([0.7, 1.3, 1.0, 2.1, 0.4]))
+    rows = np.exp(rng.uniform(-3, 3, size=(30, 5)))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[:10] *= 1e300
+    rows[10:20] *= 1e-300
+    rows[0] = [0.0, 0.0, 0.0, 0.0, 4.0]  # one atom of mass 0.4: rational gives 0
+    # t^(1/2) without its exponent p, so the gauge bisects instead of taking L_0.5
+    sqrt = OrliczFunction(name="sqrt", evaluator=builtin_phi("power", 0.5).evaluator)
+    for phi in (builtin_phi("loglog"), builtin_phi("rational"), sqrt):
+        g = Orlicz(phi)
+        batch = gauge_values_rows(g, s, rows)
+        single = np.array([gauge_values_rows(g, s, r[None, :])[0] for r in rows])
+        assert np.array_equal(batch, single), phi.name
+    assert gauge_values_rows(Orlicz(builtin_phi("rational")), s, rows)[0] == 0.0
+
+
+def test_luxemburg_tightest_tolerance_stops_after_64_phi_calls():
+    calls = []
+    loglog = builtin_phi("loglog").evaluator
+    phi = OrliczFunction(name="loglog", evaluator=lambda t: calls.append(1) or loglog(t))
+    s = MeasureSpace(np.array([0.7, 1.3, 1.0]))
+    f = ScalarField(np.array([2.0, 0.5, 1e-3]))
+    want = eval_gauge(Orlicz(phi), s, f).value
+    calls.clear()
+    got = eval_gauge(Orlicz(phi, tol=1e-300), s, f).value
+    assert len(calls) <= 64
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_luxemburg_loose_tolerance_value_is_certified_by_its_bracket():
+    # the bracket ends with hi/lo <= 1 + tol around its geometric midpoint,
+    # so the level sum exceeds 1 below v/sqrt(1+tol) and not above v*sqrt(1+tol)
+    phi = builtin_phi("loglog")
+    s = MeasureSpace(np.array([0.7, 1.3, 1.0]))
+    f = ScalarField(np.array([2.0, 0.5, 1e-3]))
+    v = eval_gauge(Orlicz(phi, tol=10.0), s, f).value
+    assert v > 0.0
+
+    def level(t):
+        return float(s.weights @ phi(f.values / t))
+
+    assert level(v / math.sqrt(11.0)) > 1.0 >= level(v * math.sqrt(11.0))
+
+
+def test_level_sum_above_one_at_every_scale_raises():
+    # phi = 1 on (0, inf): on total mass 2 the level sum is 2 for every t
+    step = OrliczFunction(name="step", evaluator=lambda t: np.where(np.asarray(t) > 0, 1.0, 0.0),
+                          claimed_concave=False)
+    with pytest.raises(GaugeDefinitionError):
+        eval_gauge(Orlicz(step), counting_space(2), ScalarField(np.array([1.0, 1.0])))
 
 
 def test_rational_kernel_degenerates_on_small_mass():

@@ -1,8 +1,9 @@
-"""The row kernels behind L_p / l_q and weak-L1, across the whole float range.
+"""The row kernels behind L_p / l_q, weak-L1 and Orlicz, across the whole float range.
 
 Regression cases where powers taken before scaling overflow or leave the
 normal range, and Hypothesis properties: homogeneity over scales 10^+-300
-and agreement with the row-max-scaled math.fsum and level-set oracles.
+and agreement with the row-max-scaled math.fsum, level-set and brentq
+Luxemburg oracles.
 """
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from qnlab import (
     InputError,
     Lp,
     MeasureSpace,
+    Orlicz,
     ScalarField,
     Tag,
     VectorField,
     WeakL1,
+    builtin_phi,
     convexify,
     counting_space,
     eval_gauge,
@@ -27,7 +30,7 @@ from qnlab import (
     p_envelope,
     weak_l1_space,
 )
-from oracles import lp_oracle, weak_l1_oracle
+from oracles import lp_oracle, lux_oracle, weak_l1_oracle
 
 EXTREME_ROWS = ([1e200, 1e200, 0.0], [1e-300, 1e-310, 0.0])
 
@@ -95,7 +98,16 @@ def test_value_beyond_the_float_range_raises():
 # properties
 # ---------------------------------------------------------------------------
 
-GAUGES = (Lp(0.5), Lp(1.0), Lp(2.0), Lp(3.0), WeakL1(), convexify(Lp(0.5), 2.0))
+GAUGES = (
+    Lp(0.5),
+    Lp(1.0),
+    Lp(2.0),
+    Lp(3.0),
+    WeakL1(),
+    convexify(Lp(0.5), 2.0),
+    Orlicz(builtin_phi("loglog")),
+    Orlicz(builtin_phi("rational")),
+)
 
 atoms = st.lists(
     st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), st.floats(0.5, 2.0)),
@@ -108,6 +120,8 @@ scales = st.integers(-300, 300).map(lambda e: 10.0**e)
 def _oracle(g, values, weights):
     if isinstance(g, WeakL1):
         return weak_l1_oracle(values, weights)
+    if isinstance(g, Orlicz):
+        return lux_oracle(g.phi, values, weights)
     if isinstance(g, Convexified):  # the r-convexification of L_p is L_(p r)
         return lp_oracle(values, weights, g.base.p * g.r)
     return lp_oracle(values, weights, g.p)
