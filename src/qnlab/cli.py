@@ -55,6 +55,7 @@ from .measure import (
     uniform_probability_space,
 )
 from .serialize import (
+    _number_array,
     dumps_csv,
     dumps_json,
     flatten_for_csv,
@@ -117,17 +118,10 @@ def _emit(payload: Any, args: argparse.Namespace) -> None:
         sys.stdout.write(text)
 
 
-def _coefficients(text: str) -> np.ndarray:
+def _array_arg(text: str, key: str, ndim: int) -> np.ndarray:
+    """A numeric array given bare or under key, inline or as @path."""
     obj = load_payload(text)
-    if isinstance(obj, dict):
-        obj = obj.get("values")
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"coefficients must be numeric: {exc}") from exc
-    if arr.ndim != 1:
-        raise InputError("coefficients must be a flat list")
-    return arr
+    return _number_array(obj.get(key) if isinstance(obj, dict) else obj, key, ndim)
 
 
 def _int_list(text: str) -> List[int]:
@@ -173,12 +167,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.vectors is not None:
         if args.target is None:
             raise InputError("--vectors needs a --target space")
-        vecs = load_payload(args.vectors)
-        if isinstance(vecs, dict):
-            vecs = vecs.get("vectors")
-        vectors = np.asarray(vecs, dtype=float)
-        if vectors.ndim != 2:
-            raise InputError("vectors must be a matrix")
+        vectors = _array_arg(args.vectors, "vectors", 2)
         target = parse_target(load_payload(args.target))
         br = eval_vector_gauge(gauge, space, VectorField(vectors, target))
     else:
@@ -229,7 +218,7 @@ def cmd_mii(args: argparse.Namespace) -> int:
 
 def cmd_galb_estimate(args: argparse.Namespace) -> int:
     target = parse_target(load_payload(args.target))
-    coeffs = _coefficients(args.coefficients)
+    coeffs = _array_arg(args.coefficients, "values", 1)
     br = galb_gauge_estimate(
         target,
         coeffs,

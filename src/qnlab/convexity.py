@@ -12,7 +12,7 @@ bounds with explicit witnesses; none of them prove global constants.
 Each probe draws its whole candidate set first and prices it in one row
 call (a fixed few for the lattice and interchange probes), then takes the
 first best candidate as its witness; sums (sum_j rho(f_j)^p)^(1/p) go
-through the range-safe `spaces._lp_rows`.  A batched Orlicz value equals
+through the range-safe `measure._lp_rows`.  A batched Orlicz value equals
 the row's one-row value bitwise: every Luxemburg row bisects the same
 bracket for the same number of steps.
 """
@@ -31,12 +31,12 @@ from .measure import (
     MeasureSpace,
     Partition,
     ScalarField,
+    _lp_rows,
     conditional_expectation,
     counting_space,
     trivial_partition,
 )
 from .sampling import random_family, random_matrix, random_partition, random_values
-from .spaces import _lp_rows
 
 
 def aoki_exponent(kappa: float) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import BoundResult, Tag
 from .errors import InputError
-from .gauges import Gauge, gauge_values_rows
+from .gauges import Gauge, Lp, WeakL1, gauge_values_rows
 from .measure import MeasureSpace, ScalarField, VectorField
 from .sampling import random_values
 from .spaces import QuasiNormedSpace
@@ -55,10 +55,10 @@ def _closed_form_galb(
     X: QuasiNormedSpace, a: np.ndarray
 ) -> Optional[Tuple[float, np.ndarray]]:
     """Exact galb value for l_q targets with q <= 1, when a witness fits."""
-    if X.kind != "lq" or X.q is None or X.q > 1.0:
+    if not (isinstance(X.gauge, Lp) and X.gauge.p <= 1.0):
         return None
     n = a.size
-    if X.q == 1.0:
+    if X.gauge.p == 1.0:
         vecs = np.zeros((n, X.dim))
         vecs[:, 0] = 1.0
         return float(np.sum(a)), vecs
@@ -104,16 +104,12 @@ def galb_gauge_estimate(
             witness = GalbWitness(coefficients=a_in, vectors=vecs[inverse], value=value)
             return BoundResult(value, Tag.LOWER, witness=witness)
 
-    d = X.dim
-    seeds: List[np.ndarray] = []
-    for j in range(min(d, 4)):  # all mass on one basis direction
-        v = np.zeros((n, d))
-        v[:, j] = 1.0
-        seeds.append(v)
-    disj = np.zeros((n, d))
-    disj[np.arange(n), np.arange(n) % d] = 1.0
-    seeds.append(disj)
-    if X.kind == "weak_l1":
+    # seeds and basis moves use the unit vectors e_j / ||e_j||, so every
+    # witness row stays in the ball whatever the norms of the e_j
+    d, unit = X.dim, X.unit_basis
+    seeds = [np.tile(unit[j], (n, 1)) for j in range(min(d, 4))]  # all on one direction
+    seeds.append(unit[np.arange(n) % d])
+    if isinstance(X.gauge, WeakL1):
         harm = 1.0 / np.arange(1.0, d + 1.0)  # unit ball element of weak-l1
         rolled = np.stack([np.roll(harm, k) for k in range(n)])
         seeds.append(rolled)
@@ -132,7 +128,7 @@ def galb_gauge_estimate(
     # coordinate ascent: per coefficient, the 2d signed basis vectors and two
     # random ball vectors (a perturbation and a fresh draw) are priced together
     rng = np.random.default_rng(seed)
-    basis_moves = np.vstack([np.eye(d), -np.eye(d)])
+    basis_moves = np.vstack([unit, -unit])
     stall = 0
     while evals < budget and stall < 2:
         improved = False
@@ -280,12 +276,17 @@ def i_map_termwise(rep: TensorRep, space: MeasureSpace) -> np.ndarray:
     return (rep.fs @ space.weights) @ rep.xs
 
 
+def _cost(rep: TensorRep, xs: np.ndarray, fs: np.ndarray, weights: np.ndarray) -> float:
+    """lam((||x_j||_X * ||f_j||_L1)_j) of the terms (xs, fs) over counting measure."""
+    if xs.shape[0] == 0:
+        return 0.0
+    prof = rep.target.norms(xs) * (np.abs(fs) @ weights)
+    return float(gauge_values_rows(rep.lam, MeasureSpace(np.ones(prof.size)), prof[None, :])[0])
+
+
 def profile_value(rep: TensorRep, space: MeasureSpace) -> float:
     """lam((||x_j||_X * ||f_j||_L1)_j) over counting measure on the terms."""
-    if rep.n_terms == 0:
-        return 0.0
-    prof = rep.target.norms(rep.xs) * (np.abs(rep.fs) @ space.weights)
-    return float(gauge_values_rows(rep.lam, MeasureSpace(np.ones(prof.size)), prof[None, :])[0])
+    return _cost(rep, rep.xs, rep.fs, space.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +349,7 @@ def tensor_norm_estimate(
     """
     if rep.n_atoms != len(space):
         raise InputError("representation and space atom counts differ")
-    X = rep.target
     w = space.weights
-
-    def cost(xs: np.ndarray, fs: np.ndarray) -> float:
-        if xs.shape[0] == 0:
-            return 0.0
-        prof = X.norms(xs) * (np.abs(fs) @ w)
-        return float(
-            gauge_values_rows(rep.lam, MeasureSpace(np.ones(prof.size)), prof[None, :])[0]
-        )
 
     jmat = rep.fs.T @ rep.xs  # (n_atoms, dim)
     jscale = float(np.max(np.abs(jmat), initial=0.0))
@@ -382,7 +374,7 @@ def tensor_norm_estimate(
     best = math.inf
     best_pair = candidates[0]
     for xs, fs in candidates:
-        c = cost(xs, fs)
+        c = _cost(rep, xs, fs, w)
         evals += 1
         if c < best:
             best, best_pair = c, (xs, fs)
@@ -402,7 +394,7 @@ def tensor_norm_estimate(
         cand_x[i], cand_x[j] = u_vec, v_vec
         cand_f[i], cand_f[j] = fu, fv
         cand_x, cand_f = _merge_colinear(*_prune(cand_x, cand_f))
-        c = cost(cand_x, cand_f)
+        c = _cost(rep, cand_x, cand_f, w)
         evals += 1
         if c < best * (1.0 - 1e-15):
             best, xs, fs = c, cand_x, cand_f

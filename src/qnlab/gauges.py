@@ -18,7 +18,7 @@ Available kinds:
   Intersect(g1, g2)  inf{g1(u) + g2(v) : |f| = u + v, u, v >= 0},
                      estimated by per-atom splitting (upper bound)
 
-Lp and WeakL1 use the row kernels of `qnlab.spaces`.  Fields with entries
+Lp and WeakL1 use the row kernels of `qnlab.measure`.  Fields with entries
 within 1e+-300 are evaluated to about 1e-12 relative; a value beyond the
 float range raises InputError, so no overflowed value is ever tagged.
 """
@@ -33,8 +33,7 @@ import numpy as np
 
 from .bounds import BoundResult, Tag
 from .errors import GaugeDefinitionError, InputError
-from .measure import MeasureSpace, ScalarField, VectorField
-from .spaces import _lp_kappa, _lp_rows, _weak_l1_rows
+from .measure import MeasureSpace, ScalarField, VectorField, _lp_kappa, _lp_rows, _weak_l1_rows
 
 # relative bracket width for the Luxemburg bisection used by eval_gauge;
 # tight enough that gauge homogeneity survives at 1e-12 relative

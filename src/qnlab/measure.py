@@ -6,16 +6,63 @@ target) to each atom.  The distribution function uses the strict
 inequality mu{f > s}; on a finite space the weak-type supremum
 sup_s s*mu_f(s) is the same number under ">" and ">=", so nothing
 downstream depends on the choice.
+
+As the lowest module it also holds the row kernels `_lp_rows` (L_p/l_q) and
+`_weak_l1_rows` shared by gauges, targets and probes: entries within 1e+-300
+are evaluated to about 1e-12 relative, and a value beyond the float range is inf.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import InputError
-from .spaces import QuasiNormedSpace, _weak_l1_rows
+
+if TYPE_CHECKING:
+    from .spaces import QuasiNormedSpace
+
+# a power sum below tiny/eps may have lost over eps (relative) to underflow
+_SUM_MIN = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _lp_rows(rows: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
+    """(sum_j w_j a_j^p)^(1/p) for each row a of a nonnegative (m, n) array.
+
+    For p <= 1 the power sum leaves the float range only with the value.  For
+    p > 1 the rows whose sum is non-finite or below _SUM_MIN are redone scaled
+    by their maximum m (Blue 1978): m * (sum_j w_j (a_j/m)^p)^(1/p).
+    """
+    if p <= 1.0:
+        with np.errstate(over="ignore"):  # a value beyond the float range is inf
+            return rows @ weights if p == 1.0 else (rows**p @ weights) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # overflowed rows are redone below
+        sums = rows**p @ weights
+    out = sums ** (1.0 / p)
+    if sums.size and not (_SUM_MIN <= sums.min() and sums.max() < np.inf):
+        redo = ~((sums >= _SUM_MIN) & (sums < np.inf))
+        a = rows[redo]
+        m = a.max(axis=1)
+        out[redo] = m * ((a / np.where(m > 0, m, 1.0)[:, None]) ** p @ weights) ** (1.0 / p)
+    return out
+
+
+def _weak_l1_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """max_k v_k * W_k for each row of a nonnegative (m, n) array (0 when n = 0):
+    v is the row sorted decreasingly, W_k the mass of its k largest entries.
+    Equal weights need only a sort; unequal ones an argsort to carry them."""
+    if (weights == weights[:1]).all():
+        v = np.sort(rows, axis=1)[:, ::-1]
+        return np.max(v * np.cumsum(weights), axis=1, initial=0.0)
+    order = np.argsort(-rows, axis=1, kind="stable")
+    v = np.take_along_axis(rows, order, axis=1)
+    return np.max(v * np.cumsum(weights[order], axis=1), axis=1)
+
+
+def _lp_kappa(p: float) -> float:
+    """Modulus of concavity of l_p and L_p: 2^(1/p - 1) for p < 1, else 1."""
+    return 1.0 if p >= 1.0 else 2.0 ** (1.0 / p - 1.0)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ code 2.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from typing import Any, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +27,7 @@ from .gauges import (
     builtin_phi,
 )
 from .measure import MeasureSpace, Partition, ScalarField
-from .spaces import QuasiNormedSpace, lq_space, weak_l1_space
+from .spaces import QuasiNormedSpace, lq_space
 
 # ---------------------------------------------------------------------------
 # emission
@@ -145,6 +147,18 @@ def _require(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _number(obj: Any, key: str, where: str, integer: bool = False) -> Any:
+    """obj[key] as a finite float, or as an int when integer is set (an
+    integral float is accepted, a bool never); InputError otherwise."""
+    value = _require(obj, key, where)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    x = float(value) if number and abs(value) <= sys.float_info.max else math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise InputError(f"{where} {key!r} must be {kind}, got {value!r}")
+    return int(x) if integer else x
+
+
 def _number_array(data: Any, where: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
@@ -175,36 +189,38 @@ def parse_partition(obj: Any) -> Partition:
 
 
 def parse_target(obj: Any) -> QuasiNormedSpace:
+    """{"kind": "lq", "q": q, "dim": d} is l_q^d; any other kind is a gauge
+    (see parse_gauge) on R^d, e.g. {"kind": "orlicz", "phi": "loglog", "dim": d}."""
     kind = _require(obj, "kind", "target space")
-    dim = int(_require(obj, "dim", "target space"))
+    dim = _number(obj, "dim", "target space", integer=True)
     if kind == "lq":
-        return lq_space(dim, float(_require(obj, "q", "lq target")))
-    if kind == "weak_l1":
-        return weak_l1_space(dim)
-    raise InputError(f"unknown target space kind {kind!r}")
+        return lq_space(dim, _number(obj, "q", "lq target"))
+    gauge = parse_gauge(obj)
+    return QuasiNormedSpace(dim, gauge, name=f"{gauge.label()}^{dim}")
 
 
 def parse_gauge(obj: Any) -> Gauge:
     kind = _require(obj, "kind", "gauge")
     if kind == "lp":
-        return Lp(float(_require(obj, "p", "lp gauge")))
+        return Lp(_number(obj, "p", "lp gauge"))
     if kind == "weak_l1":
         return WeakL1()
     if kind == "orlicz":
         name = _require(obj, "phi", "orlicz gauge")
-        p = obj.get("p")
-        phi = builtin_phi(str(name), None if p is None else float(p))
+        p = None if obj.get("p") is None else _number(obj, "p", "orlicz gauge")
+        phi = builtin_phi(str(name), p)
         if "tol" in obj:
-            return Orlicz(phi, tol=float(obj["tol"]))
+            return Orlicz(phi, tol=_number(obj, "tol", "orlicz gauge"))
         return Orlicz(phi)
     if kind == "convexified":
         return Convexified(parse_gauge(_require(obj, "base", "convexified gauge")),
-                           float(_require(obj, "r", "convexified gauge")))
+                           _number(obj, "r", "convexified gauge"))
     if kind == "intersect":
         g1 = parse_gauge(_require(obj, "g1", "intersect gauge"))
         g2 = parse_gauge(_require(obj, "g2", "intersect gauge"))
         if "budget" in obj:
-            return Intersect(g1, g2, budget=int(obj["budget"]))
+            budget = _number(obj, "budget", "intersect gauge", integer=True)
+            return Intersect(g1, g2, budget=budget)
         return Intersect(g1, g2)
     raise InputError(f"unknown gauge kind {kind!r}")
 

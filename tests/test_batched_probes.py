@@ -329,9 +329,10 @@ def test_dual_gauge_projects_all_candidates_in_one_row_call(row_calls):
 def galb_loop(X: QuasiNormedSpace, a_in, budget, seed):
     a = np.sort(np.abs(a_in))[::-1]
     n, d = a.size, X.dim
-    seeds = [np.outer(np.ones(n), np.eye(d)[j]) for j in range(min(d, 4))]
-    seeds.append(np.eye(d)[np.arange(n) % d])
-    if X.kind == "weak_l1":
+    unit = [e / X.norm(e) for e in np.eye(d)]
+    seeds = [np.outer(np.ones(n), unit[j]) for j in range(min(d, 4))]
+    seeds.append(np.array([unit[i % d] for i in range(n)]))
+    if isinstance(X.gauge, WeakL1):
         harm = 1.0 / np.arange(1.0, d + 1.0)
         seeds += [np.stack([np.roll(harm, k) for k in range(n)]), np.tile(harm, (n, 1))]
     prices = [X.norm(a @ v) for v in seeds]
@@ -347,7 +348,7 @@ def galb_loop(X: QuasiNormedSpace, a_in, budget, seed):
             z = rng.standard_normal((2, d))
             rand = [vecs[k] + 0.3 * z[0], z[1]]
             rand = [r / max(X.norm(r), 1.0) for r in rand]
-            cands = (list(np.eye(d)) + list(-np.eye(d)) + rand)[: budget - evals]
+            cands = (unit + [-e for e in unit] + rand)[: budget - evals]
             prices = [X.norm(a @ vecs - a[k] * vecs[k] + a[k] * c) for c in cands]
             evals += len(cands)
             j = int(np.argmax(prices))

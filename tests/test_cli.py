@@ -164,11 +164,43 @@ def test_malformed_inputs_exit_two(capsys):
          '{"values": [1.0, 1.0]}'],
         ["mii", "--gauge-a", '{"kind": "lp", "p": 1.0}',
          "--gauge-b", '{"kind": "lp", "p": 1.0}', "--dims", "4by4"],
+        # malformed numbers in JSON fields
+        ["galb-estimate", "--target", '{"kind": "lq", "dim": "x", "q": 2}',
+         "--coefficients", "[1.0]"],
+        ["galb-estimate", "--target", '{"kind": "lq", "dim": 2.7, "q": 2}',
+         "--coefficients", "[1.0]"],
+        ["galb-estimate", "--target", '{"kind": "lq", "dim": true, "q": 2}',
+         "--coefficients", "[1.0]"],
+        ["eval", "--gauge", '{"kind": "lp", "p": "abc"}',
+         "--space", '{"weights": [1.0]}', "--field", '{"values": [1.0]}'],
+        ["eval", "--gauge", '{"kind": "lp", "p": null}',
+         "--space", '{"weights": [1.0]}', "--field", '{"values": [1.0]}'],
+        ["eval", "--gauge", '{"kind": "intersect", "g1": {"kind": "lp", "p": 1},'
+         ' "g2": {"kind": "lp", "p": 2}, "budget": "x"}',
+         "--space", '{"weights": [1.0]}', "--field", '{"values": [1.0]}'],
+        ["eval", "--gauge", '{"kind": "lp", "p": 1.0}', "--space", '{"weights": [1.0]}',
+         "--vectors", '[["a"]]', "--target", '{"kind": "lq", "dim": 1, "q": 1}'],
+        # a target norm must be exact
+        ["galb-estimate", "--target", '{"kind": "intersect", "g1": {"kind": "lp", "p": 1},'
+         ' "g2": {"kind": "lp", "p": 2}, "dim": 2}', "--coefficients", "[1.0]"],
     )
     for argv in cases:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_orlicz_target_from_cli_json(capsys):
+    code, out, err = run(capsys, [
+        "galb-estimate",
+        "--target", '{"kind": "orlicz", "phi": "loglog", "dim": 3}',
+        "--coefficients", "[1.0, 0.5]",
+        "--budget", "200",
+    ])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["target"] == "Orlicz[loglog]^3"
+    assert payload["tag"] == "lower" and payload["value"] > 1.5
 
 
 def test_no_arguments_is_a_usage_error(capsys):

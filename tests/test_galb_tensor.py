@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qnlab import (
     Lp,
     MeasureSpace,
     Orlicz,
+    QuasiNormedSpace,
     ScalarField,
     Tag,
     TensorRep,
@@ -25,6 +28,10 @@ from qnlab import (
     tensor_norm_estimate,
     weak_l1_space,
 )
+from oracles import lux_oracle
+from test_spaces import SupGauge
+
+LOGLOG = builtin_phi("loglog")
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +123,38 @@ def test_galb_estimate_monotone_via_rescaled_witness():
             X, b, budget=800, seed=0, analytic=False, extra_seeds=[rescaled]
         )
         assert bb.value >= wa.value - 1e-12 * max(1.0, wa.value)
+
+
+def test_galb_ascent_stays_in_the_ball_when_basis_norms_are_not_one():
+    # ||v|| = 2 max|v|: the unit ball is the cube of side 1/2, so
+    # galb(a) = sum a and the unit basis vectors are e_j / 2
+    X = QuasiNormedSpace(2, SupGauge(scale=2.0))
+    br = galb_gauge_estimate(X, [1.0, 0.5])
+    assert br.tag is Tag.LOWER
+    assert br.value == pytest.approx(1.5, rel=1e-12)
+    assert np.all(X.norms(br.witness.vectors) <= 1.0 + 1e-12)
+
+
+def _lux_grid_galb(a, angles=241):
+    """max of ||a_1 u + a_2 v|| over u, v on a grid of the unit sphere of
+    l_loglog^2 (the grid normalized by lux_oracle), re-priced by lux_oracle."""
+    th = np.linspace(0.0, 2.0 * np.pi, angles)
+    grid = np.stack([np.cos(th), np.sin(th)], axis=1)
+    grid /= np.array([lux_oracle(LOGLOG, g, np.ones(2)) for g in grid])[:, None]
+    sums = (a[0] * grid[:, None, :] + a[1] * grid[None, :, :]).reshape(-1, 2)
+    best = sums[int(np.argmax(QuasiNormedSpace(2, Orlicz(LOGLOG)).norms(sums)))]
+    return lux_oracle(LOGLOG, best, np.ones(2))
+
+
+@pytest.mark.parametrize("a", [[1.0, 0.5], [1.0, 1.0], [2.0, 0.3], [0.7, 0.6]])
+def test_galb_on_orlicz_target_matches_sphere_grid(a):
+    a = np.array(a)
+    X = QuasiNormedSpace(2, Orlicz(LOGLOG))
+    br = galb_gauge_estimate(X, a, budget=2000, seed=0, analytic=False)
+    assert br.value == pytest.approx(_lux_grid_galb(a), rel=1e-9)
+    assert br.value > a.sum()  # l_loglog is not Banach
+    for v in br.witness.vectors:
+        assert lux_oracle(LOGLOG, v, np.ones(2)) <= 1.0 + 1e-12
 
 
 def test_galb_input_validation():
@@ -253,6 +292,28 @@ def test_tensor_estimate_equals_bochner_l1_for_banach_targets():
         assert br.tag is Tag.UPPER
         assert br.value >= exact - 1e-9 * max(1.0, exact)
         assert br.value == pytest.approx(exact, rel=1e-9)
+
+
+def test_tensor_estimate_on_orlicz_target_against_lux_oracle():
+    # lam = L1: the cost of a representation is sum_j ||x_j|| ||f_j||_1, and
+    # the per-atom rewrite costs sum_omega w_omega ||J(omega)||
+    rng = np.random.default_rng(41)
+    for t in range(4):
+        d = 2 + t % 2
+        X = QuasiNormedSpace(d, Orlicz(LOGLOG))
+        k, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        s = MeasureSpace(rng.uniform(0.5, 2.0, size=n))
+        rep = TensorRep(xs=rng.standard_normal((k, d)), fs=rng.standard_normal((k, n)),
+                        target=X, lam=Lp(1.0))
+        br = tensor_norm_estimate(rep, s, budget=200, seed=t)
+        w = br.witness
+        repriced = math.fsum(lux_oracle(LOGLOG, x, np.ones(d)) * float(np.abs(f) @ s.weights)
+                             for x, f in zip(w.xs, w.fs))
+        per_atom = math.fsum(wt * lux_oracle(LOGLOG, v, np.ones(d))
+                             for wt, v in zip(s.weights, j_map(rep, s).vectors))
+        assert br.tag is Tag.UPPER
+        assert repriced == pytest.approx(br.value, rel=1e-12)
+        assert br.value <= per_atom * (1.0 + 1e-12)
 
 
 def test_tensor_estimate_witness_preserves_contraction_and_cost():

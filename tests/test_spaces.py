@@ -1,14 +1,37 @@
+import math
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
 from qnlab import (
+    Gauge,
     InputError,
+    Intersect,
+    Lp,
     QuasiNormedSpace,
+    convexify,
     lq_space,
     weak_l1_space,
     weak_l1_vector_norm,
 )
 from oracles import lp_oracle, weak_l1_oracle
+
+
+@dataclass(frozen=True)
+class SupGauge(Gauge):
+    """scale * max|f| + shift, with a caller-stated kappa: a user-written target gauge."""
+
+    scale: float = 1.0
+    shift: float = 0.0
+    kappa_bound: Optional[float] = 1.0
+
+    def known_kappa(self) -> Optional[float]:
+        return self.kappa_bound
+
+    def _value_rows(self, space, rows):
+        return self.scale * rows.max(axis=1) + self.shift
 
 
 def test_lq_norm_closed_forms():
@@ -27,8 +50,8 @@ def test_norms_rowwise_matches_norm():
         vs = rng.standard_normal((20, 4))
         batch = X.norms(vs)
         single = np.array([X.norm(v) for v in vs])
-        if X.kind == "lq":
-            want = np.array([lp_oracle(v, np.ones(4), X.q) for v in vs])
+        if isinstance(X.gauge, Lp):
+            want = np.array([lp_oracle(v, np.ones(4), X.gauge.p) for v in vs])
         else:
             want = np.array([weak_l1_oracle(v, np.ones(4)) for v in vs])
         assert np.allclose(batch, want, rtol=1e-14, atol=0.0)
@@ -79,30 +102,35 @@ def test_weak_l1_triangle_genuinely_fails():
     assert float(ratios.max()) <= X.kappa * (1 + 1e-12)
 
 
-def test_custom_space_validation():
-    X = QuasiNormedSpace(
-        dim=2, kind="custom",
-        evaluator=lambda v: float(np.max(np.abs(v))),
-        kappa_custom=1.0, name="linf",
-    )
+def test_gauge_subclass_target_validation():
+    X = QuasiNormedSpace(2, SupGauge(), name="linf")
     assert X.norm(np.array([1.0, -3.0])) == 3.0
-    with pytest.raises(InputError):
-        QuasiNormedSpace(dim=2, kind="custom", evaluator=None, kappa_custom=1.0)
-    with pytest.raises(InputError):
-        QuasiNormedSpace(dim=2, kind="custom",
-                         evaluator=lambda v: float(np.max(np.abs(v))),
-                         kappa_custom=0.5)
+    assert X.kappa == 1.0 and X.is_banach
     with pytest.raises(InputError):
         # not homogeneous
-        QuasiNormedSpace(dim=2, kind="custom",
-                         evaluator=lambda v: float(np.max(np.abs(v))) + 1.0,
-                         kappa_custom=1.0)
+        QuasiNormedSpace(2, SupGauge(shift=1.0))
     with pytest.raises(InputError):
-        QuasiNormedSpace(dim=0, kind="lq", q=1.0)
+        QuasiNormedSpace(0, Lp(1.0))
     with pytest.raises(InputError):
-        QuasiNormedSpace(dim=2, kind="lq", q=-1.0)
+        lq_space(2, -1.0)
+
+
+def test_target_kappa_below_one_is_rejected():
     with pytest.raises(InputError):
-        QuasiNormedSpace(dim=2, kind="nope")
+        QuasiNormedSpace(2, SupGauge(kappa_bound=0.5))
+
+
+def test_searched_target_gauge_is_rejected():
+    # intersection values are search upper bounds, not norms
+    with pytest.raises(InputError):
+        QuasiNormedSpace(2, Intersect(Lp(1.0), Lp(2.0)))
+    with pytest.raises(InputError):
+        QuasiNormedSpace(2, convexify(Intersect(Lp(1.0), Lp(2.0)), 2.0))
+
+
+def test_unknown_kappa_is_infinite_and_not_banach():
+    X = QuasiNormedSpace(2, SupGauge(kappa_bound=None))
+    assert X.kappa == math.inf and not X.is_banach
 
 
 def test_norm_shape_errors():
