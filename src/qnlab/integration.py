@@ -11,13 +11,13 @@ sum has norm one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .bounds import BoundResult, Tag
 from .errors import InputError
-from .galb_tensor import TensorRep, i_map, i_map_termwise, j_map, profile_value
+from .galb_tensor import TensorRep, i_map, j_map, profile_value
 from .gauges import Gauge, Lp, eval_gauge
 from .measure import MeasureSpace, ScalarField, uniform_probability_space
 from .spaces import QuasiNormedSpace

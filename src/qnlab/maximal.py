@@ -2,14 +2,25 @@
 
 Every maximal quantity here runs over the same cube family: all
 axis-aligned cubes of the current scale, centered at grid cell centers,
-that contain the evaluation point.  Cubes are clipped to the unit domain
-and averages use the clipped cube's actual mass, so the constant field is
-reproduced exactly at every point and every scale.
+that contain the evaluation point.  A halfwidth h selects the cubes of
+radius r = floor(h N) cells; cubes are clipped to the unit domain and
+averages use the clipped cube's actual mass.
+
+One window-sum kernel computes every cube mean of the maximal operators
+and reports.  It sums only entries inside each window, so a cube mean is
+the true mean to a few ulps times log2(2r + 1) per axis, over magnitudes
+within 1e+-300, whatever the field holds outside the cube.  Exact are:
+the r = 0 scale, which returns |f| (or the target norms) bitwise; and the
+all-equal rule of cube_average and differentiation_report, under which a
+cube whose entries are bitwise equal averages to that common value, so a
+locally constant field differentiates with error exactly 0.0.  Other
+means of a constant field can be off by rounding (a constant 0.1 field
+is not reproduced bitwise at every scale).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import ndimage
@@ -118,6 +129,29 @@ def _cube_flat_indices(grid: GridSpace, cube: CubeSpec) -> np.ndarray:
     return (np.add.outer(rows * n, cols)).ravel()
 
 
+def _scalar_values(grid: GridSpace, f: Union[ScalarField, np.ndarray]) -> np.ndarray:
+    values = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
+    if values.shape != (grid.n_atoms,):
+        raise InputError("field length does not match the grid")
+    return values
+
+
+def _vector_rows(
+    grid: GridSpace,
+    vf: Union[VectorField, np.ndarray],
+    target: Optional[QuasiNormedSpace] = None,
+) -> Tuple[np.ndarray, QuasiNormedSpace]:
+    if isinstance(vf, VectorField):
+        vectors, target = vf.vectors, vf.target
+    else:
+        vectors = np.asarray(vf, dtype=float)
+        if target is None:
+            raise InputError("raw vector arrays need an explicit target space")
+    if vectors.shape[0] != grid.n_atoms:
+        raise InputError("vector field length does not match the grid")
+    return vectors, target
+
+
 def cube_average(
     grid: GridSpace,
     f: Union[ScalarField, VectorField],
@@ -134,10 +168,7 @@ def cube_average(
         if bool(np.all(block == block[0])):
             return block[0].copy()
         return block.mean(axis=0)
-    values = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
-    if values.shape != (grid.n_atoms,):
-        raise InputError("field length does not match the grid")
-    block = values[idx]
+    block = _scalar_values(grid, f)[idx]
     first = block[0]
     if bool(np.all(block == first)):
         return float(first)
@@ -151,6 +182,7 @@ def default_scales(grid: GridSpace) -> Tuple[float, ...]:
 
 
 def _radii(grid: GridSpace, scales: Optional[Iterable[float]]) -> Tuple[int, ...]:
+    """Cube radius in cells, floor(h N) clipped to N, of each halfwidth in order."""
     if scales is None:
         scales = default_scales(grid)
     scales = [float(h) for h in scales]
@@ -159,38 +191,74 @@ def _radii(grid: GridSpace, scales: Optional[Iterable[float]]) -> Tuple[int, ...
     if any(not h > 0.0 for h in scales):
         raise InputError("scales must be positive")
     n = grid.cells
-    rr = sorted({min(int(np.floor(h * n + 1e-9)), n) for h in scales})
-    return tuple(rr)
+    return tuple(min(int(np.floor(h * n + 1e-9)), n) for h in scales)
 
 
-def _window_means_1d(vals: np.ndarray, r: int) -> np.ndarray:
-    n = vals.shape[0]
-    prefix = np.concatenate(([0.0], np.cumsum(vals)))
-    lo = np.maximum(np.arange(n) - r, 0)
-    hi = np.minimum(np.arange(n) + r, n - 1)
-    return (prefix[hi + 1] - prefix[lo]) / (hi - lo + 1)
+def _window_means(grid: GridSpace, a: np.ndarray, r: int) -> np.ndarray:
+    """Means of the columns of an (n_atoms, m) array over the cube of radius
+    r cells around each cell, clipped to the grid.
+
+    Along each grid axis the field is zero-padded by r into T_0, a doubling
+    table T_{j+1}[i] = T_j[i] + T_j[i + 2^j] is built, and a window of
+    2r + 1 padded entries is the sum of the T_j of the set bits of 2r + 1.
+    Every window sum adds only entries inside its window, so it never
+    loses its mass to a large entry elsewhere, as a difference of global
+    prefix sums does.
+    """
+    n, width = grid.cells, 2 * r + 1
+    s = a.reshape((n,) * grid.d + (a.shape[1],))
+    for axis in range(grid.d):
+        s = s.swapaxes(0, axis)
+        t = np.zeros((n + 2 * r,) + s.shape[1:])
+        t[r:r + n] = s
+        total, off, step = t[:n], 1, 1  # width is odd: T_0's bit is set
+        while 2 * step <= width:
+            t = t[:-step] + t[step:]
+            step *= 2
+            if width & step:
+                total = total + t[off:off + n]
+                off += step
+        s = total.swapaxes(0, axis)
+    edge = np.minimum(np.arange(n, dtype=float), r)
+    count = edge + edge[::-1] + 1.0
+    if grid.d == 2:
+        count = np.multiply.outer(count, count)
+    return (s / count[..., None]).reshape(a.shape)
 
 
-def _window_means_2d(vals: np.ndarray, r: int) -> np.ndarray:
-    n = vals.shape[0]
-    prefix = np.zeros((n + 1, n + 1))
-    prefix[1:, 1:] = np.cumsum(np.cumsum(vals, axis=0), axis=1)
-    lo = np.maximum(np.arange(n) - r, 0)
-    hi = np.minimum(np.arange(n) + r, n - 1)
-    sums = (
-        prefix[np.ix_(hi + 1, hi + 1)]
-        - prefix[np.ix_(lo, hi + 1)]
-        - prefix[np.ix_(hi + 1, lo)]
-        + prefix[np.ix_(lo, lo)]
-    )
-    counts = np.outer(hi - lo + 1, hi - lo + 1)
-    return sums / counts
+def _cube_means(
+    grid: GridSpace, a: np.ndarray, radii: Iterable[int]
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """(r, cube means of the columns of a) for each distinct radius, ascending."""
+    for r in sorted(set(radii)):
+        yield r, (a if r == 0 else _window_means(grid, a, r))
 
 
-def _slide_max(means: np.ndarray, r: int) -> np.ndarray:
-    return ndimage.maximum_filter(
-        means, size=2 * r + 1, mode="constant", cval=-np.inf
-    )
+def _grid_filter(
+    filt: Callable[..., np.ndarray], grid: GridSpace, a: np.ndarray, r: int, **kw
+) -> np.ndarray:
+    """filt over the cube of radius r cells around each cell, column by column."""
+    if r == 0:
+        return a
+    shaped = a.reshape((grid.cells,) * grid.d + (a.shape[1],))
+    size = (2 * r + 1,) * grid.d + (1,)
+    return filt(shaped, size=size, **kw).reshape(a.shape)
+
+
+def _maximal_columns(
+    grid: GridSpace,
+    a: np.ndarray,
+    scales: Optional[Iterable[float]],
+    norms: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> np.ndarray:
+    """Per cell, the largest cube mean of each column of a (or, with norms,
+    of norms of the mean rows) over the cubes of the scales containing it."""
+    best = np.float64(-np.inf)
+    for r, means in _cube_means(grid, a, _radii(grid, scales)):
+        vals = means if norms is None else norms(means)[:, None]
+        best = np.maximum(best, _grid_filter(
+            ndimage.maximum_filter, grid, vals, r, mode="constant", cval=-np.inf))
+    return best
 
 
 def hl_maximal(
@@ -205,22 +273,8 @@ def hl_maximal(
     below the cell spacing selects only the cell itself, contributing
     |f(y)| bitwise exactly.
     """
-    values = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
-    if values.shape != (grid.n_atoms,):
-        raise InputError("field length does not match the grid")
-    vals = np.abs(values)
-    if grid.d == 2:
-        vals = vals.reshape(grid.cells, grid.cells)
-    best = np.full(vals.shape, -np.inf)
-    for r in _radii(grid, scales):
-        if r == 0:
-            cand = vals
-        elif grid.d == 1:
-            cand = _slide_max(_window_means_1d(vals, r), r)
-        else:
-            cand = _slide_max(_window_means_2d(vals, r), r)
-        best = np.maximum(best, cand)
-    return ScalarField(best.ravel())
+    vals = np.abs(_scalar_values(grid, f))[:, None]
+    return ScalarField(_maximal_columns(grid, vals, scales)[:, 0])
 
 
 def vector_maximal(
@@ -235,46 +289,8 @@ def vector_maximal(
     inside each cube changes (vectors, measured in the target norm, with
     no absolute value: cancellation between cells is kept).
     """
-    if isinstance(vf, VectorField):
-        vectors, target = vf.vectors, vf.target
-    else:
-        vectors = np.asarray(vf, dtype=float)
-        if target is None:
-            raise InputError("raw vector arrays need an explicit target space")
-    if vectors.shape[0] != grid.n_atoms:
-        raise InputError("vector field length does not match the grid")
-    dim = vectors.shape[1]
-    n = grid.cells
-    best = np.full(grid.n_atoms, -np.inf)
-    for r in _radii(grid, scales):
-        if r == 0:
-            norms = target.norms(vectors)
-        elif grid.d == 1:
-            prefix = np.zeros((n + 1, dim))
-            prefix[1:] = np.cumsum(vectors, axis=0)
-            lo = np.maximum(np.arange(n) - r, 0)
-            hi = np.minimum(np.arange(n) + r, n - 1)
-            avg = (prefix[hi + 1] - prefix[lo]) / (hi - lo + 1)[:, None]
-            norms = target.norms(avg)
-        else:
-            cube_vals = vectors.reshape(n, n, dim)
-            prefix = np.zeros((n + 1, n + 1, dim))
-            prefix[1:, 1:] = np.cumsum(np.cumsum(cube_vals, axis=0), axis=1)
-            lo = np.maximum(np.arange(n) - r, 0)
-            hi = np.minimum(np.arange(n) + r, n - 1)
-            sums = (
-                prefix[np.ix_(hi + 1, hi + 1)]
-                - prefix[np.ix_(lo, hi + 1)]
-                - prefix[np.ix_(hi + 1, lo)]
-                + prefix[np.ix_(lo, lo)]
-            )
-            counts = np.outer(hi - lo + 1, hi - lo + 1)
-            avg = sums / counts[:, :, None]
-            norms = target.norms(avg.reshape(-1, dim)).reshape(n, n)
-        if r > 0:
-            norms = _slide_max(norms, r)
-        best = np.maximum(best, np.asarray(norms).ravel())
-    return ScalarField(best)
+    vectors, target = _vector_rows(grid, vf, target)
+    return ScalarField(_maximal_columns(grid, vectors, scales, target.norms)[:, 0])
 
 
 @dataclass(frozen=True)
@@ -291,9 +307,11 @@ def differentiation_report(
 ) -> DifferentiationReport:
     """Worst |cube average - field value| over sample cells, per scale.
 
-    Averages go through cube_average (with its exact locally-constant
-    shortcut), so a field constant on a neighborhood of a sample point
-    differentiates with error exactly 0.0 once the scale fits inside.
+    The cube of a sample is the one of radius floor(h N) cells centered on
+    it.  A cube whose entries are all bitwise equal averages to their
+    common value (cube_average's rule), so a field constant on a
+    neighborhood of a sample point differentiates with error exactly 0.0
+    once the scale fits inside.
     """
     samples = [int(s) for s in samples]
     if not samples:
@@ -302,19 +320,19 @@ def differentiation_report(
         if not (0 <= s < grid.n_atoms):
             raise InputError("sample cell out of range")
     vector = isinstance(f, VectorField)
-    rows: list = []
-    worst = 0.0
-    for h in scales:
-        err = 0.0
-        for s in samples:
-            avg = cube_average(grid, f, CubeSpec(grid.cell_center(s), float(h)))
-            if vector:
-                err = max(err, float(f.target.norm(np.asarray(avg) - f.vectors[s])))
-            else:
-                err = max(err, abs(float(avg) - float(f.values[s])))
-        rows.append((float(h), err))
-        worst = max(worst, err)
-    return DifferentiationReport(per_scale=tuple(rows), max_error=worst)
+    a = _vector_rows(grid, f)[0] if vector else _scalar_values(grid, f)[:, None]
+    scales = [float(h) for h in scales]
+    radii = _radii(grid, scales)
+    errors = {}
+    for r, means in _cube_means(grid, a, radii):
+        hi = _grid_filter(ndimage.maximum_filter, grid, a, r, mode="nearest")
+        lo = _grid_filter(ndimage.minimum_filter, grid, a, r, mode="nearest")
+        same = np.all(hi[samples] == lo[samples], axis=1)
+        diff = means[samples] - a[samples]
+        err = f.target.norms(diff) if vector else np.abs(diff[:, 0])
+        errors[r] = float(np.max(np.where(same, 0.0, err)))
+    rows = tuple((h, errors[r]) for h, r in zip(scales, radii))
+    return DifferentiationReport(per_scale=rows, max_error=max(e for _, e in rows))
 
 
 @dataclass(frozen=True)
@@ -341,7 +359,7 @@ def weak11_constant(
         mfield = vector_maximal(grid, j_map(data, space), scales)
         size = profile_value(data, space)
     else:
-        values = data.values if isinstance(data, ScalarField) else np.asarray(data, dtype=float)
+        values = _scalar_values(grid, data)
         mfield = hl_maximal(grid, values, scales)
         size = float(np.sum(space.weights * np.abs(values)))
     if size <= 0.0:
@@ -371,12 +389,7 @@ def series_domination_report(
     """
     space = grid.to_measure_space()
     mvec = vector_maximal(grid, j_map(rep, space), scales).values
-    xnorms = rep.target.norms(rep.xs)
-    cols = [
-        xnorms[j] * hl_maximal(grid, rep.fs[j], scales).values
-        for j in range(rep.n_terms)
-    ]
-    rows = np.stack(cols, axis=1)
+    rows = _maximal_columns(grid, np.abs(rep.fs.T), scales) * rep.target.norms(rep.xs)
     dom = gauge_values_rows(rep.lam, counting_space(rep.n_terms), rows)
     gap = mvec - dom
     k = int(np.argmax(gap))

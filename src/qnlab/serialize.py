@@ -150,12 +150,15 @@ def _require(obj: Any, key: str, where: str) -> Any:
 def _number(obj: Any, key: str, where: str, integer: bool = False) -> Any:
     """obj[key] as a finite float, or as an int when integer is set (an
     integral float is accepted, a bool never); InputError otherwise."""
-    value = _require(obj, key, where)
+    return _as_number(_require(obj, key, where), f"{where} {key!r}", integer)
+
+
+def _as_number(value: Any, what: str, integer: bool = False) -> Any:
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     x = float(value) if number and abs(value) <= sys.float_info.max else math.nan
     if not math.isfinite(x) or (integer and not x.is_integer()):
         kind = "an integer" if integer else "a finite number"
-        raise InputError(f"{where} {key!r} must be {kind}, got {value!r}")
+        raise InputError(f"{what} must be {kind}, got {value!r}")
     return int(x) if integer else x
 
 
@@ -175,17 +178,20 @@ def parse_measure(obj: Any) -> MeasureSpace:
 
 def parse_scalar_field(obj: Any) -> ScalarField:
     values = _number_array(_require(obj, "values", "field"), "values", 1)
-    return ScalarField(values, signed=bool(obj.get("signed", False)))
+    signed = obj.get("signed", False)
+    if not isinstance(signed, bool):
+        raise InputError(f"field 'signed' must be true or false, got {signed!r}")
+    return ScalarField(values, signed=signed)
 
 
 def parse_partition(obj: Any) -> Partition:
     blocks = _require(obj, "blocks", "partition")
-    if not isinstance(blocks, list):
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise InputError("partition blocks must be a list of lists")
-    try:
-        return Partition(tuple(tuple(int(i) for i in b) for b in blocks))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"partition blocks must hold integers: {exc}") from exc
+    return Partition(tuple(
+        tuple(_as_number(i, "partition block entry", integer=True) for i in b)
+        for b in blocks
+    ))
 
 
 def parse_target(obj: Any) -> QuasiNormedSpace:

@@ -7,7 +7,7 @@ raw gauge evaluation.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -225,4 +225,40 @@ def vector_maximal_oracle(
                 val = float(target.norm(np.asarray(avg)))
                 if val > best[flat]:
                     best[flat] = val
+    return best
+
+
+def _window_cells(grid: GridSpace, flat: int, r: int) -> list:
+    """Flat indices of the cells within r cells of cell flat along every axis."""
+    n = grid.cells
+    coords = (flat,) if grid.d == 1 else divmod(flat, n)
+    axes = [range(max(c - r, 0), min(c + r, n - 1) + 1) for c in coords]
+    return [sum(i * n ** k for k, i in enumerate(reversed(idx))) for idx in product(*axes)]
+
+
+def window_mean_oracle(grid: GridSpace, values: np.ndarray, r: int) -> np.ndarray:
+    """Per cell, the mean of each column of values (n_atoms or (n_atoms, m))
+    over the cells within r cells of it along every axis, clipped to the
+    grid: math.fsum of the window's entries divided by their count."""
+    a = np.asarray(values, dtype=float).reshape(grid.n_atoms, -1)
+    out = np.empty_like(a)
+    for flat in range(grid.n_atoms):
+        cells = _window_cells(grid, flat, r)
+        for col in range(a.shape[1]):
+            out[flat, col] = math.fsum(a[cells, col]) / len(cells)
+    return out
+
+
+def window_maximal_oracle(grid: GridSpace, values: np.ndarray, scales: Iterable[float],
+                          norm=None) -> np.ndarray:
+    """Per cell, the largest norm(window_mean_oracle row) over the windows of
+    radius floor(h N) cells, h in scales, that contain the cell; without
+    norm, the largest mean of the single column."""
+    best = np.full(grid.n_atoms, -np.inf)
+    for h in scales:
+        r = min(int(math.floor(float(h) * grid.cells + 1e-9)), grid.cells)
+        means = window_mean_oracle(grid, values, r)
+        vals = [m[0] if norm is None else norm(m) for m in means]
+        for flat in range(grid.n_atoms):
+            best[flat] = max(best[flat], *(vals[c] for c in _window_cells(grid, flat, r)))
     return best

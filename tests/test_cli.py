@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qnlab import (
+    InputError,
     Lp,
     MeasureSpace,
     ScalarField,
@@ -16,6 +17,7 @@ from qnlab import (
     GridSpace,
 )
 from qnlab.cli import main
+from qnlab.serialize import parse_partition, parse_scalar_field
 
 REPORT_ARGS = ["report", "--trials", "8", "--budget", "300", "--cells", "256"]
 
@@ -180,6 +182,8 @@ def test_malformed_inputs_exit_two(capsys):
          "--space", '{"weights": [1.0]}', "--field", '{"values": [1.0]}'],
         ["eval", "--gauge", '{"kind": "lp", "p": 1.0}', "--space", '{"weights": [1.0]}',
          "--vectors", '[["a"]]', "--target", '{"kind": "lq", "dim": 1, "q": 1}'],
+        ["eval", "--gauge", '{"kind": "lp", "p": 1.0}', "--space", '{"weights": [1.0]}',
+         "--field", '{"values": [1.0], "signed": "no"}'],
         # a target norm must be exact
         ["galb-estimate", "--target", '{"kind": "intersect", "g1": {"kind": "lp", "p": 1},'
          ' "g2": {"kind": "lp", "p": 2}, "dim": 2}', "--coefficients", "[1.0]"],
@@ -188,6 +192,19 @@ def test_malformed_inputs_exit_two(capsys):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_partition_and_field_parsers_are_strict():
+    # block entries follow the integer rule of every other JSON count
+    for blocks in ([[0.7, 1.9]], [[True, False]], [[0, None]], [["0"]], [1], "x"):
+        with pytest.raises(InputError):
+            parse_partition({"blocks": blocks})
+    assert parse_partition({"blocks": [[0, 1.0], [2]]}).blocks == ((0, 1), (2,))
+    for signed in ("no", "true", 1, 0, None):
+        with pytest.raises(InputError):
+            parse_scalar_field({"values": [1.0], "signed": signed})
+    assert parse_scalar_field({"values": [-1.0], "signed": True}).signed is True
+    assert parse_scalar_field({"values": [1.0]}).signed is False
 
 
 def test_orlicz_target_from_cli_json(capsys):

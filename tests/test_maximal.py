@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qnlab.maximal as maximal
 from qnlab import (
     CubeSpec,
     DegenerateCubeError,
@@ -22,7 +25,12 @@ from qnlab import (
     weak11_constant,
     weak_l1_space,
 )
-from oracles import maximal_oracle, vector_maximal_oracle
+from oracles import (
+    lp_oracle,
+    maximal_oracle,
+    vector_maximal_oracle,
+    window_maximal_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +257,194 @@ def test_differentiation_vector_field_and_errors():
         differentiation_report(g, vf, [], (0.125,))
     with pytest.raises(InputError):
         differentiation_report(g, vf, [N], (0.125,))
+    with pytest.raises(InputError):
+        differentiation_report(g, vf, [0], ())
+
+
+def _differentiation_loop(grid, f, samples, scales):
+    """The samples x scales cube_average loop differentiation_report replaced."""
+    rows = []
+    for h in scales:
+        errs = []
+        for s in samples:
+            avg = cube_average(grid, f, CubeSpec(grid.cell_center(s), h))
+            if isinstance(f, VectorField):
+                errs.append(f.target.norm(np.asarray(avg) - f.vectors[s]))
+            else:
+                errs.append(abs(avg - f.values[s]))
+        rows.append((h, max(errs)))
+    return rows
+
+
+@pytest.mark.parametrize("d, cells", [(1, 40), (2, 9)])
+def test_differentiation_report_matches_the_cube_average_loop(d, cells):
+    rng = np.random.default_rng(58 + d)
+    g = GridSpace(d, cells)
+    X = lq_space(2, 2.0)
+    vectors = rng.normal(size=(g.n_atoms, 2))
+    vectors[: g.n_atoms // 2] = [0.1, 0.3]  # constant patch: exact zeros on both sides
+    scales = [float(h) for h in rng.uniform(0.01, 0.6, size=5)] + [0.5 / cells]
+    samples = [int(s) for s in rng.choice(g.n_atoms, size=12, replace=False)]
+    scale = float(np.max(np.abs(vectors)))
+    for f in (ScalarField(vectors[:, 0], signed=True), VectorField(vectors, X)):
+        for picks in (samples, [0, 1]):
+            got = differentiation_report(g, f, picks, scales)
+            want = _differentiation_loop(g, f, picks, scales)
+            assert [h for h, _ in got.per_scale] == [h for h, _ in want]
+            for (_, e), (_, w) in zip(got.per_scale, want):
+                assert abs(e - w) <= 1e-14 * scale
+                assert (e == 0.0) == (w == 0.0)
+            assert got.max_error == max(e for _, e in got.per_scale)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_differentiation_is_exactly_zero_on_constant_windows(d):
+    # sums of copies of 0.1 round; the all-equal rule keeps the error 0.0
+    N = 64 if d == 1 else 16
+    g = GridSpace(d, N)
+    values = np.full(g.n_atoms, 0.1)
+    values[-1] = 5.0
+    samples = [s for s in range(g.n_atoms) if max(g.cell_center(s)) <= 0.5]
+    scales = (0.3, 0.21, 0.1, 1.0 / N, 0.01)
+    X = lq_space(2, 1.0)
+    vf = VectorField(np.outer(values, [1.0, 3.0]), X)
+    for f in (ScalarField(values), vf):
+        rep = differentiation_report(g, f, samples, scales)
+        assert rep.max_error == 0.0
+    assert not np.all(hl_maximal(g, values, (0.3, 0.21)).values[samples] == 0.1)
+
+
+def test_reports_make_no_per_term_or_per_sample_calls(monkeypatch):
+    calls = {"hl_maximal": 0, "cube_average": 0}
+
+    def counting(name):
+        inner = getattr(maximal, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(maximal, name, counting(name))
+    rng = np.random.default_rng(59)
+    g = GridSpace(1, 32)
+    rep = TensorRep(xs=rng.normal(size=(4, 2)), fs=rng.normal(size=(4, 32)),
+                    target=lq_space(2, 1.0), lam=Lp(1.0))
+    series_domination_report(rep, g)
+    differentiation_report(g, ScalarField(rng.normal(size=32), signed=True),
+                           range(0, 32, 3), (0.3, 0.1, 0.01))
+    assert calls == {"hl_maximal": 0, "cube_average": 0}
+
+
+# ---------------------------------------------------------------------------
+# the window-sum kernel against the fsum oracle
+# ---------------------------------------------------------------------------
+
+def test_a_spike_does_not_erase_the_mass_of_distant_windows():
+    # differences of global prefix sums gave 0.0 at cells 30-39 of the 1-D
+    # case and put 231 of the 256 2-D cells below |f|
+    g = GridSpace(1, 64)
+    f = np.ones(64)
+    f[0] = 1e20
+    out = hl_maximal(g, f, scales=[2 / 64]).values
+    assert np.all(out[5:] == 1.0) and np.all(out >= 1.0)
+    vec = vector_maximal(g, VectorField(np.stack([f, f], axis=1), lq_space(2, 1.0)),
+                         scales=[2 / 64]).values
+    assert np.all(vec[5:] == 2.0)
+    g2 = GridSpace(2, 16)
+    f2 = np.ones(256)
+    f2[0] = 1e20
+    out2 = hl_maximal(g2, f2, scales=[2 / 16]).values.reshape(16, 16)
+    assert np.all(out2 >= 1.0)
+    assert np.all(out2[5:, :] == 1.0) and np.all(out2[:, 5:] == 1.0)
+    # inclusion-exclusion of 2-D prefix sums made some means negative, and
+    # building the maximal field raised InputError
+    exps = [-47, 223, 277, -128, -232, 62, 101, 167, 86, 130, 250, 250, 256, 217, 133, 251]
+    f3 = 10.0 ** np.array(exps, dtype=float)
+    g3 = GridSpace(2, 4)
+    got = hl_maximal(g3, f3, scales=[1 / 4]).values
+    assert list(got) == pytest.approx(list(window_maximal_oracle(g3, f3, [1 / 4])),
+                                      rel=1e-14, abs=0.0)
+
+
+grids = st.sampled_from([(1, 2), (1, 3), (1, 7), (1, 16), (1, 24),
+                         (2, 2), (2, 3), (2, 5), (2, 6)]).map(lambda dc: GridSpace(*dc))
+halfwidths = st.lists(
+    st.one_of(st.floats(-7.0, 0.25).map(lambda e: 2.0 ** e),
+              st.integers(1, 6).map(lambda k: 2.0 ** -k)),
+    min_size=1, max_size=4,
+)
+
+
+def _entries(lo, hi):
+    """0.0 or a signed mantissa in [1e-3, 1] times 10**e, lo <= e <= hi."""
+    mag = st.tuples(st.floats(1e-3, 1.0), st.integers(lo, hi)).map(
+        lambda me: me[0] * 10.0 ** me[1])
+    signed = st.tuples(mag, st.booleans()).map(lambda mb: -mb[0] if mb[1] else mb[0])
+    return st.one_of(st.just(0.0), signed)
+
+
+def _fields(m, lo=-300, hi=300):
+    """(grid, (n_atoms, m) array) with entries mixing the given magnitudes."""
+    return grids.flatmap(lambda g: st.tuples(st.just(g), st.lists(
+        _entries(lo, hi), min_size=g.n_atoms * m, max_size=g.n_atoms * m,
+    ).map(lambda xs: np.array(xs).reshape(g.n_atoms, m))))
+
+
+@settings(max_examples=30)
+@given(data=_fields(1), scales=halfwidths)
+def test_hl_maximal_matches_window_oracle(data, scales):
+    g, f = data
+    got = hl_maximal(g, f[:, 0], scales).values
+    want = window_maximal_oracle(g, np.abs(f), scales)
+    assert list(got) == pytest.approx(list(want), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+@settings(max_examples=30)
+@given(data=_fields(2), scales=halfwidths)
+def test_vector_maximal_matches_window_oracle(q, data, scales):
+    g, v = data
+    X = lq_space(2, q)
+
+    def norm(m):
+        return lp_oracle(m, [1.0, 1.0], q)
+
+    bound = window_maximal_oracle(g, np.abs(v), scales, norm)
+    got = vector_maximal(g, VectorField(np.abs(v), X), scales).values
+    assert list(got) == pytest.approx(list(bound), rel=1e-14, abs=0.0)
+    if q >= 1.0:
+        # cancellation inside a window: the error is relative to the
+        # maximal field of |F|, since a norm with q >= 1 is Lipschitz
+        got = vector_maximal(g, VectorField(v, X), scales).values
+        want = window_maximal_oracle(g, v, scales, norm)
+        assert np.all(np.abs(got - want) <= 1e-14 * bound)
+
+
+@settings(max_examples=30)
+@given(data=_fields(2, 0, 3), scales=halfwidths, e=st.integers(-300, 300))
+def test_maximal_operators_homogeneous_across_float_range(data, scales, e):
+    g, v = data
+    t = 10.0 ** e
+    v = np.abs(v)
+    base = hl_maximal(g, v[:, 0], scales).values
+    assert list(hl_maximal(g, t * v[:, 0], scales).values) == pytest.approx(
+        list(t * base), rel=1e-14, abs=0.0)
+    X = lq_space(2, 2.0)
+    base = vector_maximal(g, VectorField(v, X), scales).values
+    assert list(vector_maximal(g, VectorField(t * v, X), scales).values) == pytest.approx(
+        list(t * base), rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=30)
+@given(data=_fields(2), scales=halfwidths)
+def test_maximal_dominates_the_field_when_the_subcell_scale_is_in_the_set(data, scales):
+    g, v = data
+    scales = scales + [1.0 / (4 * g.cells)]
+    assert np.all(hl_maximal(g, v[:, 0], scales).values >= np.abs(v[:, 0]))
+    X = lq_space(2, 1.0)
+    assert np.all(vector_maximal(g, VectorField(v, X), scales).values >= X.norms(v))
 
 
 # ---------------------------------------------------------------------------

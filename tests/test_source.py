@@ -1,0 +1,30 @@
+"""Source hygiene checks over the modules of src/qnlab."""
+import ast
+from pathlib import Path
+
+import qnlab
+
+PACKAGE = Path(qnlab.__file__).resolve().parent
+
+
+def _unused_imports(tree: ast.AST) -> list:
+    """Names a module imports but never reads (__future__ imports aside)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py re-exports what it imports, so it is left out
+    found = {
+        path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: unused for name, unused in found.items() if unused} == {}
