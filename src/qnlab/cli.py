@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -124,18 +125,13 @@ def _array_arg(text: str, key: str, ndim: int) -> np.ndarray:
     return _number_array(obj.get(key) if isinstance(obj, dict) else obj, key, ndim)
 
 
+# argparse types: a ValueError becomes argparse's own "invalid ... value" exit 2
 def _int_list(text: str) -> List[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"expected a comma-separated integer list: {exc}") from exc
+    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _float_list(text: str) -> List[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise InputError(f"expected a comma-separated number list: {exc}") from exc
+    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _dims_list(text: str) -> List[Tuple[int, int]]:
@@ -600,6 +596,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+# built once per process: parsing reads the parser and never changes it
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnlab",

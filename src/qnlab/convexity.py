@@ -12,9 +12,10 @@ bounds with explicit witnesses; none of them prove global constants.
 Each probe draws its whole candidate set first and prices it in one row
 call (a fixed few for the lattice and interchange probes), then takes the
 first best candidate as its witness; sums (sum_j rho(f_j)^p)^(1/p) go
-through the range-safe `measure._lp_rows`.  A batched Orlicz value equals
-the row's one-row value bitwise: every Luxemburg row bisects the same
-bracket for the same number of steps.
+through the range-safe `measure._lp_rows`.  A batched gauge value equals
+the row's one-row value bitwise: every L_p row is summed by the same loop,
+and every Luxemburg row bisects the same bracket for the same number of
+steps.
 """
 from __future__ import annotations
 
@@ -207,6 +208,10 @@ def lattice_constant_probe(
     return BoundResult(best, Tag.LOWER, witness=witness)
 
 
+# random trials of l_convexity_probe priced per row call
+_TRIAL_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class LConvexityWitness:
     """A family certifying failure of the epsilon-lattice-convexity test."""
@@ -229,57 +234,55 @@ def l_convexity_probe(
 
     Returns a witness when the search finds one, None otherwise (absence of
     a witness is evidence, not proof).  Deterministic bite families (f minus
-    one atom per member) are tried before random ones.
+    one atom per member) are tried before random ones.  The random trials
+    are priced _TRIAL_CHUNK at a time in one row call, and the first hit in
+    draw order is the witness.
     """
     if not (0.0 < epsilon < 1.0):
         raise InputError("epsilon must be in (0, 1)")
     n = len(space)
 
-    def test(fvals: np.ndarray, fam: np.ndarray) -> Optional[LConvexityWitness]:
-        if np.any(fam > fvals[None, :] * (1 + 1e-12) + 1e-15):
+    def first_hit(fs: list, fams: list) -> Optional[LConvexityWitness]:
+        # the feasible (f, family) pairs, priced in one row call; first hit wins
+        ok = [i for i, (f, fam) in enumerate(zip(fs, fams))
+              if not np.any(fam > f[None, :] * (1 + 1e-12) + 1e-15)
+              and not np.any(fam.mean(axis=0) < (1.0 - epsilon) * f - 1e-12)]
+        if not ok:
             return None
-        mean = fam.mean(axis=0)
-        if np.any(mean < (1.0 - epsilon) * fvals - 1e-12):
-            return None
-        gf = float(gauge_values_rows(g, space, fvals[None, :])[0])
-        if gf <= 0:
-            return None
-        parts = gauge_values_rows(g, space, fam)
-        mx = float(np.max(parts))
-        if mx < epsilon * gf:
-            return LConvexityWitness(
-                f=ScalarField(fvals),
-                family=tuple(ScalarField(r) for r in fam),
-                epsilon=epsilon,
-                max_part_gauge=mx,
-                gauge_f=gf,
-            )
+        vals = gauge_values_rows(g, space, np.vstack([fs[i] for i in ok] + [fams[i] for i in ok]))
+        ends = len(ok) + np.cumsum([len(fams[i]) for i in ok])
+        for gf, end, i in zip(vals, ends, ok):
+            mx = float(np.max(vals[end - len(fams[i]):end]))
+            if gf > 0 and mx < epsilon * gf:
+                return LConvexityWitness(ScalarField(fs[i]), tuple(map(ScalarField, fams[i])),
+                                         epsilon, max_part_gauge=mx, gauge_f=float(gf))
         return None
 
     # bite families: remove one atom entirely from each member
-    ones = np.ones(n)
-    for k in range(2, min(n, 8) + 1):
-        fam = np.ones((k, n))
-        for j in range(k):
-            fam[j, j % n] = 0.0
-        w = test(ones, fam)
-        if w is not None:
-            return w
+    bites = [1.0 - np.eye(k, n) for k in range(2, min(n, 8) + 1)]
+    hit = first_hit([np.ones(n)] * len(bites), bites)
+    if hit is not None:
+        return hit
 
+    # random trials, drawn in chunks; each trial draws what the one-trial loop drew
     rng = np.random.default_rng(seed)
-    for _ in range(int(trials)):
-        fvals = random_values(rng, n, "uniform") + 0.05
-        k = int(rng.integers(2, 9))
-        # random bites scaled to respect the mean constraint
-        mask = rng.random((k, n)) < rng.uniform(0.05, 0.5)
-        delta = rng.uniform(0.0, 1.0)
-        fam = fvals[None, :] * (1.0 - delta * mask)
-        mean_bite = delta * mask.mean(axis=0)
-        if np.any(mean_bite > epsilon):
-            continue
-        w = test(fvals, fam)
-        if w is not None:
-            return w
+    for start in range(0, int(trials), _TRIAL_CHUNK):
+        fs, fams = [], []
+        for _ in range(min(_TRIAL_CHUNK, int(trials) - start)):
+            fvals = random_values(rng, n, "uniform") + 0.05
+            k = int(rng.integers(2, 9))
+            # random bites scaled to respect the mean constraint
+            mask = rng.random((k, n)) < rng.uniform(0.05, 0.5)
+            delta = rng.uniform(0.0, 1.0)
+            fam = fvals[None, :] * (1.0 - delta * mask)
+            mean_bite = delta * mask.mean(axis=0)
+            if np.any(mean_bite > epsilon):
+                continue
+            fs.append(fvals)
+            fams.append(fam)
+        hit = first_hit(fs, fams)
+        if hit is not None:
+            return hit
     return None
 
 

@@ -374,18 +374,19 @@ class Convexified(Gauge):
 
 @dataclass(frozen=True)
 class Intersect(Gauge):
+    """g1 ^ g2, an upper bound found by intersect_eval's splitting search.
+
+    All rows of a batch run that search in lockstep, and every row shares
+    the budget random starts drawn from seed 0.
+    """
+
     g1: Gauge
     g2: Gauge
     budget: int = 32
     kind: str = field(default="intersect", init=False)
 
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                intersect_eval(self.g1, self.g2, space, ScalarField(r), self.budget).value
-                for r in rows
-            ]
-        )
+        return _intersect_rows(self.g1, self.g2, space, rows, self.budget, 0)[0]
 
     def result(self, space: MeasureSpace, f: ScalarField) -> BoundResult:
         return intersect_eval(self.g1, self.g2, space, f, self.budget)
@@ -434,6 +435,85 @@ def convexify(g: Gauge, r: float) -> Convexified:
 # intersection gauge: per-atom splitting search (upper bound)
 # ---------------------------------------------------------------------------
 
+# the most candidate rows one g1/g2 row call of the intersection search
+# prices; rows are priced independently, so the chunking changes no value
+_INTERSECT_CHUNK = 4096
+
+
+def _split_costs(g1, g2, space, f, alphas, k=None, pts=None) -> np.ndarray:
+    """g1(u) + g2(f - u) with u = alpha * f for the candidates of each pair.
+
+    Pair p splits the row f[p].  Its candidates are the fraction vectors
+    alphas[p] (a (c, n) stack), or, when k is given, alphas[p] (one vector)
+    with entry k set to each of pts[p].  Returns a (pairs, c) array, priced
+    over chunks of at most _INTERSECT_CHUNK candidate rows.
+    """
+    c = alphas.shape[1] if k is None else pts.shape[1]
+    per = max(1, _INTERSECT_CHUNK // c)
+    out = np.empty((len(f), c))
+    for s in range(0, len(f), per):
+        cand = alphas[s:s + per]
+        if k is not None:
+            cand = np.repeat(cand[:, None, :], c, axis=1)
+            cand[:, :, k] = pts[s:s + per]
+        u = (cand * f[s:s + per, None, :]).reshape(-1, f.shape[1])
+        v = np.repeat(f[s:s + per], c, axis=0) - u
+        out[s:s + per] = (g1._value_rows(space, u) + g2._value_rows(space, v)).reshape(-1, c)
+    return out
+
+
+def _intersect_rows(
+    g1: Gauge, g2: Gauge, space: MeasureSpace, f: np.ndarray, budget: int, seed: int
+) -> tuple:
+    """Splitting search on every row of a nonnegative (m, n) array f.
+
+    Returns (values, alphas): row i splits as u = alphas[i] * f[i] and
+    v = f[i] - u with g1(u) + g2(v) = values[i].  Every row starts from the
+    seeds 1, 0, 1/2 (the best of them is restart 0) and from the same budget
+    random fraction vectors drawn from seed.  Each (row, restart) pair runs
+    coordinate descent: per sweep and atom, a coarse grid and two zoomed
+    grids of that entry, keeping a move only for a relative gain above 1e-15;
+    a pair skips the atoms where its row is 0 and stops after a sweep with
+    no gain.  All pairs move in lockstep, so each grid of each atom is priced
+    for every pair in one g1 and one g2 row call.  The first restart with
+    the smallest value gives a row its split.
+    """
+    m, n = f.shape
+    budget = max(0, int(budget))
+    starts = np.vstack([np.ones(n), np.zeros(n), np.full(n, 0.5),
+                        np.random.default_rng(seed).random((budget, n))])
+    first = _split_costs(g1, g2, space, f, np.broadcast_to(starts, (m,) + starts.shape))
+    j = np.argmin(first[:, :3], axis=1)
+    R = budget + 1
+    cur = np.hstack([first[np.arange(m), j][:, None], first[:, 3:]]).ravel()
+    alpha = np.hstack([starts[j][:, None, :],
+                       np.broadcast_to(starts[3:], (m, budget, n))]).reshape(m * R, n)
+    fp = np.repeat(f, R, axis=0)
+    live = fp.any(axis=1) & (budget > 0)
+    for _ in range(4):  # descent sweeps
+        improved = np.zeros(m * R, dtype=bool)
+        for k in range(n):
+            idx = np.flatnonzero(live & (fp[:, k] != 0))
+            if idx.size == 0:
+                continue
+            pts = np.broadcast_to(np.linspace(0.0, 1.0, 33), (idx.size, 33))
+            for _ in range(3):  # a coarse grid, then two grids zoomed on the best point
+                cv = _split_costs(g1, g2, space, fp[idx], alpha[idx], k, pts)
+                jj = np.argmin(cv, axis=1)
+                low = cv[np.arange(idx.size), jj]
+                gain = low < cur[idx] * (1.0 - 1e-15)
+                alpha[idx[gain], k] = pts[gain, jj[gain]]
+                cur[idx[gain]] = low[gain]
+                improved[idx[gain]] = True
+                span, a = pts[:, 1] - pts[:, 0], alpha[idx, k]
+                pts = np.linspace(np.maximum(0.0, a - span), np.minimum(1.0, a + span), 9, axis=1)
+        live &= improved
+    # restart 0 never ends above its seed, so a row keeps its seed on a tie
+    cur, alpha = cur.reshape(m, R), alpha.reshape(m, R, n)
+    r = np.argmin(cur, axis=1)
+    return cur[np.arange(m), r], alpha[np.arange(m), r]
+
+
 def intersect_eval(
     g1: Gauge,
     g2: Gauge,
@@ -446,59 +526,18 @@ def intersect_eval(
 
     Every split of |f| into nonnegative parts is a per-atom split, so
     coordinate descent over the fraction vector alpha in [0,1]^n explores
-    the full feasible set.  budget counts random restarts; budget 0
-    degrades to min(g1(f), g2(f)).  All comparisons are relative, keeping
-    the estimate positively homogeneous to rounding.
+    the full feasible set.  budget counts random restarts, drawn from seed;
+    budget 0 degrades to min(g1(f), g2(f)).  All comparisons are relative,
+    keeping the estimate positively homogeneous to rounding.  The witness
+    is the split (u, v).  This is the one-row case of the lockstep search
+    behind Intersect, whose rows all share the starts of seed 0.
     """
     if len(f) != len(space):
         raise InputError("field and space atom counts differ")
     vals = np.abs(f.values)
-    n = vals.size
-
-    def obj_batch(alphas: np.ndarray) -> np.ndarray:
-        us = alphas * vals
-        return g1._value_rows(space, us) + g2._value_rows(space, vals - us)
-
-    seeds = np.stack([np.ones(n), np.zeros(n), np.full(n, 0.5)])
-    vs = obj_batch(seeds)
-    j = int(np.argmin(vs))
-    best, best_alpha = float(vs[j]), seeds[j].copy()
-
-    if budget > 0 and np.any(vals > 0):
-        rng = np.random.default_rng(seed)
-        starts = [best_alpha.copy()] + [rng.random(n) for _ in range(int(budget))]
-        coarse = np.linspace(0.0, 1.0, 33)
-        for alpha in starts:
-            alpha = alpha.copy()
-            cur = float(obj_batch(alpha[None, :])[0])
-            for _ in range(4):  # descent sweeps
-                improved = False
-                for k in range(n):
-                    if vals[k] == 0:
-                        continue
-                    pts = coarse
-                    lo, hi = 0.0, 1.0
-                    for _ in range(3):  # zoom rounds
-                        cand = np.repeat(alpha[None, :], pts.size, axis=0)
-                        cand[:, k] = pts
-                        cv = obj_batch(cand)
-                        jj = int(np.argmin(cv))
-                        if cv[jj] < cur * (1.0 - 1e-15):
-                            alpha[k] = pts[jj]
-                            cur = float(cv[jj])
-                            improved = True
-                        span = pts[1] - pts[0] if pts.size > 1 else (hi - lo)
-                        lo = max(0.0, alpha[k] - span)
-                        hi = min(1.0, alpha[k] + span)
-                        pts = np.linspace(lo, hi, 9)
-                if not improved:
-                    break
-            if cur < best:
-                best, best_alpha = cur, alpha
-
-    u = best_alpha * vals
-    witness = (ScalarField(u), ScalarField(vals - u))
-    return BoundResult(best, Tag.UPPER, witness=witness)
+    values, alphas = _intersect_rows(g1, g2, space, vals[None, :], budget, seed)
+    u = alphas[0] * vals
+    return BoundResult(float(values[0]), Tag.UPPER, (ScalarField(u), ScalarField(vals - u)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,15 @@ if TYPE_CHECKING:
 _SUM_MIN = np.finfo(float).tiny / np.finfo(float).eps
 
 
+def _wsum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j w_j a_j for each row a, by one loop per row whatever the batch.
+
+    So a row's sum does not depend on the rows priced with it; a BLAS
+    matrix-vector product sums a lone row and a batched row apart.
+    """
+    return np.einsum("ij,j->i", np.ascontiguousarray(rows), weights)
+
+
 def _lp_rows(rows: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
     """(sum_j w_j a_j^p)^(1/p) for each row a of a nonnegative (m, n) array.
 
@@ -36,15 +45,15 @@ def _lp_rows(rows: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
     """
     if p <= 1.0:
         with np.errstate(over="ignore"):  # a value beyond the float range is inf
-            return rows @ weights if p == 1.0 else (rows**p @ weights) ** (1.0 / p)
+            return _wsum(rows, weights) if p == 1.0 else _wsum(rows**p, weights) ** (1.0 / p)
     with np.errstate(over="ignore"):  # overflowed rows are redone below
-        sums = rows**p @ weights
+        sums = _wsum(rows**p, weights)
     out = sums ** (1.0 / p)
     if sums.size and not (_SUM_MIN <= sums.min() and sums.max() < np.inf):
         redo = ~((sums >= _SUM_MIN) & (sums < np.inf))
         a = rows[redo]
         m = a.max(axis=1)
-        out[redo] = m * ((a / np.where(m > 0, m, 1.0)[:, None]) ** p @ weights) ** (1.0 / p)
+        out[redo] = m * _wsum((a / np.where(m > 0, m, 1.0)[:, None]) ** p, weights) ** (1.0 / p)
     return out
 
 

@@ -3,14 +3,17 @@
 Each probe prices its whole candidate set in one gauge (or norm) row call.
 The loops below redraw the same candidates from the same seed and price
 them one at a time through eval_gauge / X.norm, so the probe must agree
-with them to rounding (1e-14 relative).  Every witness re-evaluates to its value, and a counting wrapper shows that
-the number of row calls does not grow with trials or budget.
+with them to rounding (1e-14 relative); the intersection search and the
+L-convexity probe agree with their loops bitwise.  Every witness
+re-evaluates to its value, and a counting wrapper shows that the number of
+row calls does not grow with trials or budget.
 """
 import numpy as np
 import pytest
 
 from qnlab import (
     Gauge,
+    Intersect,
     Lp,
     MeasureSpace,
     Orlicz,
@@ -25,6 +28,9 @@ from qnlab import (
     eval_gauge,
     galb_gauge_estimate,
     galbs_check,
+    gauge_values_rows,
+    intersect_eval,
+    l_convexity_probe,
     lattice_constant_probe,
     leveling_constant_probe,
     lq_space,
@@ -32,8 +38,10 @@ from qnlab import (
     mii_sweep,
     p_envelope,
     trivial_partition,
+    uniform_probability_space,
     weak_l1_space,
 )
+from qnlab import convexity, gauges
 from qnlab.sampling import random_family, random_matrix, random_partition, random_values
 from oracles import lp_oracle
 
@@ -415,3 +423,198 @@ def test_galbs_check_prices_denominators_in_one_row_call_per_size(row_calls):
         galbs_check(Orlicz(builtin_phi("loglog")), lq_space(4, 2.0), sizes=(4, 8),
                     trials=trials, budget=20)
         assert calls == [trials, trials]
+
+
+# ---------------------------------------------------------------------------
+# intersection search: every (row, restart) pair in lockstep
+# ---------------------------------------------------------------------------
+
+def intersect_loop(g1, g2, space, vals, budget, seed):
+    """One restart at a time, one atom at a time: (value, fraction vector)."""
+    n = vals.size
+
+    def obj(alphas):
+        us = alphas * vals
+        return g1._value_rows(space, us) + g2._value_rows(space, vals - us)
+
+    seeds = np.stack([np.ones(n), np.zeros(n), np.full(n, 0.5)])
+    vs = obj(seeds)
+    j = int(np.argmin(vs))
+    best, best_alpha = float(vs[j]), seeds[j].copy()
+    if budget <= 0 or not np.any(vals > 0):
+        return best, best_alpha
+    rng = np.random.default_rng(seed)
+    coarse = np.linspace(0.0, 1.0, 33)
+    for alpha in [best_alpha] + [rng.random(n) for _ in range(budget)]:
+        alpha = alpha.copy()
+        cur = float(obj(alpha[None, :])[0])
+        for _ in range(4):
+            improved = False
+            for k in range(n):
+                if vals[k] == 0:
+                    continue
+                pts = coarse
+                for _ in range(3):
+                    cand = np.repeat(alpha[None, :], pts.size, axis=0)
+                    cand[:, k] = pts
+                    cv = obj(cand)
+                    jj = int(np.argmin(cv))
+                    if cv[jj] < cur * (1.0 - 1e-15):
+                        alpha[k], cur, improved = pts[jj], float(cv[jj]), True
+                    span = pts[1] - pts[0]
+                    pts = np.linspace(max(0.0, alpha[k] - span), min(1.0, alpha[k] + span), 9)
+            if not improved:
+                break
+        if cur < best:
+            best, best_alpha = cur, alpha
+    return best, best_alpha
+
+
+LOGLOG = Orlicz(builtin_phi("loglog"))
+SPLITS = [
+    pytest.param(Lp(1.0), Lp(0.5), id="L1^L0.5"),
+    pytest.param(WeakL1(), Lp(1.0), id="weakL1^L1"),
+    pytest.param(LOGLOG, Lp(0.5), id="loglog^L0.5"),
+    pytest.param(Lp(2.0), WeakL1(), id="L2^weakL1"),
+]
+
+
+def split_rows(rng, m, n):
+    rows = np.exp(rng.uniform(-2, 2, size=(m, n))) * 10.0 ** rng.integers(-200, 201, size=(m, 1))
+    rows[rng.random((m, n)) < 0.2] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("g1, g2", SPLITS)
+def test_intersect_lockstep_matches_loop_bitwise(g1, g2):
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 4, 5, 9):
+        space = MeasureSpace(rng.uniform(0.3, 1.5, size=n))
+        m, budget, seed = int(rng.integers(1, 4)), int(rng.integers(0, 6)), int(rng.integers(3))
+        if g1 is LOGLOG:
+            budget = min(budget, 1)
+        rows = split_rows(rng, m, n)
+        values, alphas = gauges._intersect_rows(g1, g2, space, rows, budget, seed)
+        for f, value, alpha in zip(rows, values, alphas):
+            want, want_alpha = intersect_loop(g1, g2, space, f, budget, seed)
+            assert value == want and np.array_equal(alpha, want_alpha)
+            br = intersect_eval(g1, g2, space, ScalarField(f), budget, seed)
+            u, v = br.witness
+            assert br.value == want
+            assert np.array_equal(u.values, want_alpha * f)
+            assert np.array_equal(v.values, f - want_alpha * f)
+
+
+@pytest.mark.parametrize("g1, g2", SPLITS)
+def test_intersect_rows_equal_one_row_search(g1, g2):
+    rng = np.random.default_rng(5)
+    space = MeasureSpace(rng.uniform(0.3, 1.5, size=3))
+    rows = split_rows(rng, 4, 3)
+    got = gauge_values_rows(Intersect(g1, g2, budget=2), space, rows)
+    for f, value in zip(rows, got):
+        assert value == intersect_eval(g1, g2, space, ScalarField(f), budget=2).value
+
+
+def test_intersect_row_calls_do_not_grow_with_rows_or_budget(row_calls, monkeypatch):
+    calls = row_calls(Lp)
+    n, rng = 3, np.random.default_rng(8)
+    space = MeasureSpace(np.array([0.5, 1.2, 0.9]))
+    rows = np.exp(rng.uniform(-1, 1, size=(4, n)))
+    for m in (1, 4):
+        for budget in (0, 2, 12):
+            calls.clear()
+            gauge_values_rows(Intersect(Lp(1.0), Lp(0.5), budget=budget), space, rows[:m])
+            # one g1 and one g2 call for the seeds and starts, then at most one
+            # pair per (sweep, atom, zoom round), whatever m and budget are
+            assert calls[:2] == [m * (3 + budget)] * 2
+            assert len(calls) <= 2 * (1 + 4 * n * 3)
+            assert len(calls) > 2 or budget == 0
+    # chunking over pairs bounds the rows of a call and changes no value
+    want = gauge_values_rows(Intersect(Lp(1.0), Lp(0.5), budget=12), space, rows)
+    monkeypatch.setattr(gauges, "_INTERSECT_CHUNK", 40)
+    calls.clear()
+    got = gauge_values_rows(Intersect(Lp(1.0), Lp(0.5), budget=12), space, rows)
+    assert np.array_equal(got, want) and max(calls) <= 40
+
+
+# ---------------------------------------------------------------------------
+# epsilon-lattice-convexity probe
+# ---------------------------------------------------------------------------
+
+class MinGauge(Gauge):
+    """min_j |f_j|: homogeneous and monotone, far from L-convex."""
+
+    kind = "min"
+
+    def _value_rows(self, space, rows):
+        return rows.min(axis=1)
+
+
+def l_convexity_loop(g, epsilon, space, trials, seed):
+    """One bite family, then one random trial, at a time: (f, family, max part, g(f))."""
+    n = len(space)
+
+    def test(fvals, fam):
+        if np.any(fam > fvals[None, :] * (1 + 1e-12) + 1e-15):
+            return None
+        if np.any(fam.mean(axis=0) < (1.0 - epsilon) * fvals - 1e-12):
+            return None
+        gf = rho(g, space, fvals)
+        mx = max(rho(g, space, row) for row in fam)
+        return (fvals, fam, mx, gf) if gf > 0 and mx < epsilon * gf else None
+
+    for k in range(2, min(n, 8) + 1):
+        fam = np.ones((k, n))
+        for j in range(k):
+            fam[j, j % n] = 0.0
+        hit = test(np.ones(n), fam)
+        if hit is not None:
+            return hit
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        fvals = random_values(rng, n, "uniform") + 0.05
+        k = int(rng.integers(2, 9))
+        mask = rng.random((k, n)) < rng.uniform(0.05, 0.5)
+        delta = rng.uniform(0.0, 1.0)
+        fam = fvals[None, :] * (1.0 - delta * mask)
+        if np.any(delta * mask.mean(axis=0) > epsilon):
+            continue
+        hit = test(fvals, fam)
+        if hit is not None:
+            return hit
+    return None
+
+
+@pytest.mark.parametrize("g, space, epsilon", [
+    pytest.param(MinGauge(), counting_space(2), 0.45, id="min"),
+    pytest.param(Lp(0.1), uniform_probability_space(2), 0.45, id="L0.1"),
+    pytest.param(WeakL1(), counting_space(3), 0.6, id="weakL1-3"),
+    pytest.param(WeakL1(), counting_space(4), 0.7, id="weakL1-4"),
+    pytest.param(LOGLOG, counting_space(3), 0.6, id="loglog-bites"),
+    pytest.param(Lp(1.0), counting_space(6), 0.25, id="L1-none"),
+])
+@pytest.mark.parametrize("chunk", [256, 7])
+def test_l_convexity_probe_matches_loop_and_witness(g, space, epsilon, chunk, monkeypatch):
+    monkeypatch.setattr(convexity, "_TRIAL_CHUNK", chunk)
+    hits = 0
+    for seed in range(6):
+        got = l_convexity_probe(g, epsilon, space, trials=300, seed=seed)
+        want = l_convexity_loop(g, epsilon, space, 300, seed)
+        if want is None:
+            assert got is None
+            continue
+        hits += 1
+        f, fam, mx, gf = want
+        assert np.array_equal(got.f.values, f)
+        assert np.array_equal(np.stack([m.values for m in got.family]), fam)
+        assert (got.max_part_gauge, got.gauge_f, got.epsilon) == (mx, gf, epsilon)
+    assert hits > 0 or g.kind == "lp"
+
+
+def test_l_convexity_probe_prices_each_chunk_in_one_row_call(row_calls):
+    calls = row_calls(WeakL1)
+    for trials in (40, 600):
+        calls.clear()
+        assert l_convexity_probe(WeakL1(), 0.2, counting_space(5), trials=trials, seed=1) is None
+        # the bite families, then one call per chunk of drawn trials
+        assert len(calls) <= 1 + -(-trials // convexity._TRIAL_CHUNK)

@@ -16,7 +16,7 @@ from qnlab import (
     weak11_constant,
     GridSpace,
 )
-from qnlab.cli import main
+from qnlab.cli import build_parser, main
 from qnlab.serialize import parse_partition, parse_scalar_field
 
 REPORT_ARGS = ["report", "--trials", "8", "--budget", "300", "--cells", "256"]
@@ -223,6 +223,23 @@ def test_orlicz_target_from_cli_json(capsys):
 def test_no_arguments_is_a_usage_error(capsys):
     code, _, _ = run(capsys, [])
     assert code == 2
+
+
+def test_parser_built_once_keeps_calls_apart(capsys):
+    # one parser serves every in-process call; no call leaves state in it
+    assert build_parser() is build_parser()
+    good = ["eval", "--gauge", '{"kind": "intersect", "g1": {"kind": "lp", "p": 1},'
+            ' "g2": {"kind": "lp", "p": 0.5}, "budget": 3}',
+            "--space", '{"weights": [1.0, 2.0, 0.5]}', "--field", '{"values": [1.0, 0.25, 3.0]}',
+            "--format", "csv"]
+    first = run(capsys, good)
+    assert first[0] == 0 and first[2] == ""
+    for _ in range(2):
+        assert run(capsys, good) == first
+    code, out, err = run(capsys, ["eval", "--gauge", '{"kind": "lp", "p": 1}', "--format", "xml"])
+    assert code == 2 and out == "" and "usage: qnlab eval" in err
+    assert run(capsys, [])[0] == 2
+    assert run(capsys, good) == first
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnlab import (
     Convexified,
@@ -382,6 +384,54 @@ def test_intersect_against_grid_oracle():
             # different searches; they must land close together
             assert est <= oracle * (1 + 1e-3)
             assert est >= oracle * (1 - 0.02)
+
+
+# tag honesty: the UPPER value never exceeds either gauge alone, its witness
+# splits |f| and re-prices to it, and it scales with f over the float range
+SPLIT_PAIRS = (
+    (Lp(1.0), Lp(0.5)),
+    (WeakL1(), Lp(1.0)),
+    (Orlicz(builtin_phi("loglog")), Lp(0.5)),
+    (Lp(2.0), WeakL1()),
+)
+split_atoms = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), st.floats(0.5, 2.0)),
+    min_size=1,
+    max_size=4,
+)
+split_case = st.tuples(split_atoms, st.sampled_from(SPLIT_PAIRS), st.integers(0, 2))
+scales = st.integers(-300, 300).map(lambda e: 10.0**e)
+
+
+def _split_case(case):
+    pairs, gs, budget = case
+    values, weights = zip(*pairs)
+    return np.array(values), MeasureSpace(np.array(weights)), gs, budget
+
+
+@settings(max_examples=40)
+@given(case=split_case, t=scales)
+def test_intersect_upper_is_honest(case, t):
+    f, s, (g1, g2), budget = _split_case(case)
+    f = t * f
+    br = intersect_eval(g1, g2, s, ScalarField(f), budget=budget)
+    assert br.tag is Tag.UPPER
+    assert br.value <= min(eval_gauge(g1, s, ScalarField(f)).value,
+                           eval_gauge(g2, s, ScalarField(f)).value)
+    u, v = (x.values for x in br.witness)
+    assert np.all(u >= 0) and np.all(v >= 0)
+    assert np.all(np.abs(u + v - f) <= 4 * np.finfo(float).eps * f)
+    redo = eval_gauge(g1, s, br.witness[0]).value + eval_gauge(g2, s, br.witness[1]).value
+    assert redo == pytest.approx(br.value, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=40)
+@given(case=split_case, t=scales)
+def test_intersect_homogeneous_across_float_range(case, t):
+    f, s, (g1, g2), budget = _split_case(case)
+    base = intersect_eval(g1, g2, s, ScalarField(f), budget=budget).value
+    scaled = intersect_eval(g1, g2, s, ScalarField(t * f), budget=budget).value
+    assert scaled == pytest.approx(t * base, rel=1e-12, abs=0.0)
 
 
 def test_intersect_witness_reevaluates_to_value():

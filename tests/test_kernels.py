@@ -1,13 +1,13 @@
 """The row kernels behind L_p / l_q, weak-L1 and Orlicz, across the whole float range.
 
 Regression cases where powers taken before scaling overflow or leave the
-normal range, and Hypothesis properties: homogeneity over scales 10^+-300
-and agreement with the row-max-scaled math.fsum, level-set and brentq
-Luxemburg oracles.
+normal range, and Hypothesis properties: homogeneity over scales 10^+-300,
+agreement with the row-max-scaled math.fsum, level-set and brentq
+Luxemburg oracles, and a row's value independent of the batch it is in.
 """
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnlab import (
@@ -185,3 +185,28 @@ def test_target_norms_homogeneous_and_match_scaled_oracle(q, batch):
     assert list(got) == pytest.approx(want, rel=1e-12, abs=0.0)
     assert [X.norm(v) for v in vs] == pytest.approx(want, rel=1e-12, abs=0.0)
     assert list(got) == pytest.approx(list(X.norms(base) * scale), rel=1e-12, abs=0.0)
+
+
+wide_batches = st.integers(1, 12).flatmap(
+    lambda d: st.lists(
+        st.tuples(st.lists(entry, min_size=d, max_size=d), st.integers(-300, 300)),
+        min_size=2,
+        max_size=9,
+    )
+)
+
+
+@pytest.mark.parametrize("g", GAUGES, ids=lambda g: g.label())
+@settings(max_examples=25)
+@given(batch=wide_batches)
+def test_row_value_does_not_depend_on_its_batch(g, batch):
+    # a search prices one row in batches of any size and layout; its value
+    # must be the one the row gets alone, bitwise
+    rows, exps = zip(*batch)
+    vs = np.abs(np.array(rows)) * 10.0 ** np.array(exps, dtype=float)[:, None]
+    space = MeasureSpace(np.linspace(0.5, 2.0, vs.shape[1]))
+    whole = gauge_values_rows(g, space, vs)
+    alone = [gauge_values_rows(g, space, v[None, :])[0] for v in vs]
+    assert np.array_equal(whole, alone)
+    assert np.array_equal(gauge_values_rows(g, space, np.asfortranarray(vs)), whole)
+    assert np.array_equal(gauge_values_rows(g, space, vs[1:]), whole[1:])
