@@ -14,8 +14,7 @@ call (a fixed few for the lattice and interchange probes), then takes the
 first best candidate as its witness; sums (sum_j rho(f_j)^p)^(1/p) go
 through the range-safe `measure._lp_rows`.  A batched gauge value equals
 the row's one-row value bitwise: every L_p row is summed by the same loop,
-and every Luxemburg row bisects the same bracket for the same number of
-steps.
+and every Luxemburg row is solved by steps that read only that row.
 """
 from __future__ import annotations
 

@@ -11,9 +11,10 @@ Available kinds:
   WeakL1             sup_s s * mu{|f| > s}  =  max_k v_k * m_k over the
                      decreasing rearrangement (closed form, exact)
   Orlicz(phi)        Luxemburg gauge inf{t > 0 : sum w phi(|f|/t) <= 1},
-                     found by geometric bisection of a fixed bracket for a
-                     number of steps set by tol (power kernels: the Lp
-                     closed form)
+                     bracketed in a fixed range by a start grid, then
+                     closed to relative width tol by an Illinois
+                     iteration on log2 t with a bisection fallback (power
+                     kernels: the Lp closed form)
   Convexified(g, r)  g(|f|^r)^(1/r)
   Intersect(g1, g2)  inf{g1(u) + g2(v) : |f| = u + v, u, v >= 0},
                      estimated by per-atom splitting (upper bound)
@@ -35,16 +36,18 @@ from .bounds import BoundResult, Tag
 from .errors import GaugeDefinitionError, InputError
 from .measure import MeasureSpace, ScalarField, VectorField, _lp_kappa, _lp_rows, _weak_l1_rows
 
-# relative bracket width for the Luxemburg bisection used by eval_gauge;
+# relative bracket width for the Luxemburg solve used by eval_gauge;
 # tight enough that gauge homogeneity survives at 1e-12 relative
 DEFAULT_LUX_TOL = 1e-13
 
 _ORLICZ_GRID = np.logspace(-9.0, 3.0, 1000)
 
-# in units of its row maximum a Luxemburg root lies in this bracket: a root
-# below _LUX_LO (about 1e-18) reads as 0, and a level sum above 1 at _LUX_HI
-# means the kernel defines no gauge
-_LUX_LO, _LUX_HI = 2.0 ** -60, 2.0 ** 200
+# log2 of t in units of its row maximum: a Luxemburg root lies between the
+# ends, so a root below 2^-60 (about 1e-18) reads as 0, and a level sum above
+# 1 at 2^200 means the kernel defines no gauge; the points between are a start
+# grid, dense where the roots of the builtin kernels lie
+_LUX_X = np.array([-60.0, -24.0, -12.0, -6.0, -3.0, 0.0, 3.0, 6.0, 12.0, 24.0, 200.0])
+_LUX_CHUNK = 1 << 16  # start-grid points priced per phi call
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +121,9 @@ def _power_eval(p: float):
 
 
 def _loglog_eval(t: np.ndarray) -> np.ndarray:
+    # 1/t is taken of t >= 2^-1022 only, so a subnormal t gets a finite value
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = tp * np.log(np.e + 1.0 / tp)
-    return out
+    return np.where(t > 0, t * np.log(np.e + 1.0 / np.maximum(t, 2.0 ** -1022)), 0.0)
 
 
 def _rational_eval(t: np.ndarray) -> np.ndarray:
@@ -163,7 +163,7 @@ def builtin_phi(name: str, p: Optional[float] = None) -> OrliczFunction:
 
 
 # ---------------------------------------------------------------------------
-# Luxemburg gauge by geometric bisection
+# Luxemburg gauge by a bracketed Illinois iteration
 # ---------------------------------------------------------------------------
 
 def _lux_rows(
@@ -171,36 +171,61 @@ def _lux_rows(
 ) -> np.ndarray:
     """Row-wise Luxemburg gauge of a nonnegative (m, n) array.
 
-    In units of its row maximum each root lies in [_LUX_LO, _LUX_HI]; every
-    row bisects that bracket geometrically for the same number of steps,
-    fixed by tol, which leaves hi/lo <= 1 + tol.  So a row's value does not
-    depend on the other rows of its batch.  Rows whose level sum never
-    exceeds 1 (possible for bounded kernels on tiny supports) get value 0:
-    the infimum is genuinely 0 there.
+    With a = row / row max and x = log2 t, the level sum S(x) = sum w phi(a/2^x)
+    is nonincreasing.  One phi call per 2^16 points prices S on the start
+    grid _LUX_X: rows with S <= 1 at its bottom get value 0 (the infimum is
+    that small, or genuinely 0 for bounded kernels on tiny supports), and
+    S > 1 at its top raises GaugeDefinitionError.  Every other row takes the
+    grid interval where S crosses 1 as its bracket [lo, hi], S(lo) > 1 >= S(hi),
+    and steps by regula falsi on y = ln S against x with the Illinois halving:
+    the end kept twice running has its y halved.  A step lands at least half
+    the closing width inside the bracket, so once the secant point is that
+    close to the root the step crosses it and closes the bracket.  Each step
+    prices the live rows once; a row bisects as soon as halving alone is
+    left to close its bracket in the steps that remain, so no row takes more
+    steps than bisecting the whole range would (63 at most).  A row stops when
+    hi/lo <= 1 + tol and gets scale * sqrt(lo * hi).  Its value depends only
+    on the row, never on the rows batched with it.
     """
     rows = np.asarray(rows, dtype=float)
     out = np.zeros(rows.shape[0])
     scale = rows.max(axis=1)
-    act = scale > 0
-    if not np.any(act):
+    act = np.flatnonzero(scale > 0)
+    if act.size == 0:
         return out
     a = rows[act] / scale[act, None]
-    lo = np.full(a.shape[0], _LUX_LO)
-    hi = np.full(a.shape[0], _LUX_HI)
-    # ln(hi/lo) halves with each step until hi/lo <= 1 + tol; 9 steps narrow
-    # the bracket below one octave, and after 64 it cannot shrink in floats
-    span = math.log(_LUX_HI / _LUX_LO)
-    steps = min(max(math.ceil(math.log2(span / math.log1p(tol))), 9), 64)
-    with np.errstate(over="ignore"):
-        for _ in range(steps):
-            mid = np.sqrt(lo * hi)
-            le = (weights * phi(a / mid[:, None])).sum(axis=1) <= 1.0
-            hi = np.where(le, mid, hi)
-            lo = np.where(le, lo, mid)
-        value = scale[act] * np.sqrt(lo * hi)
-    if np.any(hi == _LUX_HI):
-        raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
-    out[act] = np.where(lo == _LUX_LO, 0.0, value)
+    per = max(1, _LUX_CHUNK // (_LUX_X.size * a.shape[1]))
+    grid = np.exp2(-_LUX_X)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lev = np.vstack([(weights * phi(a[s:s + per, None, :] * grid)).sum(axis=2)
+                         for s in range(0, a.shape[0], per)])
+        if np.any(lev[:, -1] > 1.0):
+            raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
+        pos = lev[:, 0] > 1.0
+        act, a, lev = act[pos], a[pos], np.log(lev[pos])
+        k = np.argmax(lev <= 0.0, axis=1)
+        i = np.arange(k.size)
+        xl, xh, yl, yh = _LUX_X[k - 1], _LUX_X[k], lev[i, k - 1], lev[i, k]
+        prev = np.full(k.size, np.nan)  # did the last step move lo? (neither before the first)
+        # an x-width at most `close` certifies hi/lo <= 1 + tol after rounding
+        close = math.log1p(tol) / math.log(2.0) * (1.0 - 2.0 ** -50) - 2.0 ** -50
+        steps = min(math.ceil(math.log2((_LUX_X[-1] - _LUX_X[0]) / max(close, 1e-300))), 63)
+        for left in range(steps, -1, -1):
+            d = xh - xl
+            done = d <= (close if left else math.inf)
+            if done.any():
+                out[act[done]] = scale[act[done]] * np.sqrt(np.exp2(xl[done]) * np.exp2(xh[done]))
+                act, a, xl, xh, yl, yh, prev, d = (
+                    v[~done] for v in (act, a, xl, xh, yl, yh, prev, d))
+            if not act.size:
+                break
+            x = np.fmin(np.fmax(xl + d * (yl / (yl - yh)), xl + 0.5 * close), xh - 0.5 * close)
+            x = np.where(d > close * 2.0 ** (left - 1), xl + 0.5 * d, x)
+            y = np.log((weights * phi(a / np.exp2(x)[:, None])).sum(axis=1))
+            up = y > 0.0
+            half = np.where(up == prev, 0.5, 1.0)
+            xl, yl, prev = np.where(up, x, xl), np.where(up, y, half * yl), up
+            xh, yh = np.where(up, xh, x), np.where(up, half * yh, y)
     return out
 
 
@@ -212,9 +237,11 @@ def luxemburg(
 ) -> float:
     """Luxemburg gauge inf{t > 0 : sum_n w_n phi(|a_n|/t) <= 1}.
 
-    Counting measure unless explicit weights are given.  Returns 0 for the
-    zero field, and 0 when no positive t pushes the level sum above 1
-    (bounded kernels on small supports).
+    Counting measure unless explicit weights are given.  The value is the
+    geometric midpoint of a bracket [lo, hi] with level sum > 1 at lo, <= 1 at
+    hi and hi/lo <= 1 + tol, found by the Illinois solve of `_lux_rows` in
+    about ten phi calls.  Returns 0 for the zero field, and 0 when no positive
+    t pushes the level sum above 1 (bounded kernels on small supports).
     """
     if not 0.0 < tol < math.inf:
         raise InputError("tolerance must be positive and finite")
@@ -528,9 +555,12 @@ def intersect_eval(
     coordinate descent over the fraction vector alpha in [0,1]^n explores
     the full feasible set.  budget counts random restarts, drawn from seed;
     budget 0 degrades to min(g1(f), g2(f)).  All comparisons are relative,
-    keeping the estimate positively homogeneous to rounding.  The witness
-    is the split (u, v).  This is the one-row case of the lockstep search
-    behind Intersect, whose rows all share the starts of seed 0.
+    so the value along one descent path is positively homogeneous to
+    rounding; a whole search is not, since near-equal candidates whose order
+    turns on last-bit rounding can send a scaled field down another path.
+    The witness is the split (u, v).  This is the one-row case of the
+    lockstep search behind Intersect, whose rows all share the starts of
+    seed 0.
     """
     if len(f) != len(space):
         raise InputError("field and space atom counts differ")

@@ -50,8 +50,7 @@ def lux_oracle(
         return 0.0
 
     def excess(s: float) -> float:
-        phis = phi(np.array([x / m / s for x in a]))
-        return math.fsum(float(w) * float(v) for w, v in zip(weights, phis)) - 1.0
+        return lux_level_sum(phi, [x / m for x in a], weights, s) - 1.0
 
     lo = 1e-18
     if excess(lo) <= 0.0:
@@ -60,6 +59,14 @@ def lux_oracle(
     while excess(hi) > 0.0:
         hi *= 2.0
     return m * brentq(excess, lo, hi, xtol=1e-300, rtol=1e-15, maxiter=500)
+
+
+def lux_level_sum(
+    phi: OrliczFunction, values: Sequence[float], weights: Sequence[float], t: float
+) -> float:
+    """The Luxemburg level sum sum w phi(|f|/t), its terms summed by math.fsum."""
+    phis = phi(np.array([abs(float(x)) / t for x in values]))
+    return math.fsum(float(w) * float(v) for w, v in zip(weights, phis))
 
 
 def weak_l1_oracle(values: Sequence[float], weights: Sequence[float]) -> float:

@@ -78,8 +78,8 @@ def test_weak_l1_gauge_matches_rearrangement_value():
 
 
 def test_luxemburg_matches_lp_for_power_kernel():
-    # spec invariant: the bisected Luxemburg gauge of the power kernel and
-    # the Lp closed form agree within twice the bisection tolerance
+    # spec invariant: the solved Luxemburg gauge of the power kernel and
+    # the Lp closed form agree within twice the bracket tolerance
     rng = np.random.default_rng(3)
     tol = 1e-13
     for p in (0.5, 1.0, 2.0):
@@ -133,8 +133,8 @@ def test_loglog_luxemburg_singleton_anchor():
 
 
 def test_luxemburg_batch_values_equal_single_row_values_bitwise():
-    # every row bisects the same bracket for the same number of steps, so
-    # its value cannot depend on the rows it is batched with
+    # every step of the solve reads only its own row, so a row's value
+    # cannot depend on the rows it is batched with
     rng = np.random.default_rng(15)
     s = MeasureSpace(np.array([0.7, 1.3, 1.0, 2.1, 0.4]))
     rows = np.exp(rng.uniform(-3, 3, size=(30, 5)))
@@ -142,7 +142,7 @@ def test_luxemburg_batch_values_equal_single_row_values_bitwise():
     rows[:10] *= 1e300
     rows[10:20] *= 1e-300
     rows[0] = [0.0, 0.0, 0.0, 0.0, 4.0]  # one atom of mass 0.4: rational gives 0
-    # t^(1/2) without its exponent p, so the gauge bisects instead of taking L_0.5
+    # t^(1/2) without its exponent p, so the gauge is solved instead of taking L_0.5
     sqrt = OrliczFunction(name="sqrt", evaluator=builtin_phi("power", 0.5).evaluator)
     for phi in (builtin_phi("loglog"), builtin_phi("rational"), sqrt):
         g = Orlicz(phi)
