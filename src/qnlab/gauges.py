@@ -173,19 +173,23 @@ def _lux_rows(
 
     With a = row / row max and x = log2 t, the level sum S(x) = sum w phi(a/2^x)
     is nonincreasing.  One phi call per 2^16 points prices S on the start
-    grid _LUX_X: rows with S <= 1 at its bottom get value 0 (the infimum is
-    that small, or genuinely 0 for bounded kernels on tiny supports), and
-    S > 1 at its top raises GaugeDefinitionError.  Every other row takes the
-    grid interval where S crosses 1 as its bracket [lo, hi], S(lo) > 1 >= S(hi),
-    and steps by regula falsi on y = ln S against x with the Illinois halving:
-    the end kept twice running has its y halved.  A step lands at least half
-    the closing width inside the bracket, so once the secant point is that
-    close to the root the step crosses it and closes the bracket.  Each step
+    grid _LUX_X, where (as in every later test) a NaN sum counts as above 1:
+    rows with S <= 1 at its bottom get value 0 (the infimum is that small, or
+    genuinely 0 for bounded kernels on tiny supports), and a row with S > 1
+    at every grid point raises GaugeDefinitionError.  Every other row takes
+    the grid interval where S first falls to 1 as its bracket [lo, hi],
+    S(lo) > 1 >= S(hi), and steps by regula falsi on y = ln S against x with
+    the Illinois halving: the end kept twice running has its y halved.  The
+    ends are kept as t and each step is taken from lo, so hi/lo resolves to
+    an ulp of t wherever the root lies.  A step lands at least half the
+    closing width inside the bracket, so once the secant point is that close
+    to the root the step crosses it and closes the bracket.  Each step
     prices the live rows once; a row bisects as soon as halving alone is
-    left to close its bracket in the steps that remain, so no row takes more
-    steps than bisecting the whole range would (63 at most).  A row stops when
-    hi/lo <= 1 + tol and gets scale * sqrt(lo * hi).  Its value depends only
-    on the row, never on the rows batched with it.
+    left to close its bracket in the steps that remain.  The steps are never
+    more than bisecting the whole range to hi/lo <= 1 + tol would take, nor
+    63.  A row stops when hi/lo <= 1 + tol, or when the steps run out (only
+    for tol near the float resolution), and gets scale * sqrt(lo * hi).  Its
+    value depends only on the row, never on the rows batched with it.
     """
     rows = np.asarray(rows, dtype=float)
     out = np.zeros(rows.shape[0])
@@ -195,37 +199,45 @@ def _lux_rows(
         return out
     a = rows[act] / scale[act, None]
     per = max(1, _LUX_CHUNK // (_LUX_X.size * a.shape[1]))
-    grid = np.exp2(-_LUX_X)[:, None]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        lev = np.vstack([(weights * phi(a[s:s + per, None, :] * grid)).sum(axis=2)
-                         for s in range(0, a.shape[0], per)])
-        if np.any(lev[:, -1] > 1.0):
+    # a level sum S becomes ln max(S, 1e-300): the tests `<= 0` below read a
+    # NaN sum as above 1, and the secant step never meets inf - inf
+    with np.errstate(over="ignore"):
+        lev = np.log(np.maximum(np.vstack([
+            (weights * phi(a[s:s + per, None, :] / np.exp2(_LUX_X)[:, None])).sum(axis=2)
+            for s in range(0, a.shape[0], per)]), 1e-300))
+        k = np.argmax(lev <= 0.0, axis=1)  # the first grid point with S <= 1
+        if not np.all(lev[np.arange(k.size), k] <= 0.0):
             raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
-        pos = lev[:, 0] > 1.0
-        act, a, lev = act[pos], a[pos], np.log(lev[pos])
-        k = np.argmax(lev <= 0.0, axis=1)
+        act, a, lev, k = act[k > 0], a[k > 0], lev[k > 0], k[k > 0]
         i = np.arange(k.size)
-        xl, xh, yl, yh = _LUX_X[k - 1], _LUX_X[k], lev[i, k - 1], lev[i, k]
-        prev = np.full(k.size, np.nan)  # did the last step move lo? (neither before the first)
-        # an x-width at most `close` certifies hi/lo <= 1 + tol after rounding
-        close = math.log1p(tol) / math.log(2.0) * (1.0 - 2.0 ** -50) - 2.0 ** -50
-        steps = min(math.ceil(math.log2((_LUX_X[-1] - _LUX_X[0]) / max(close, 1e-300))), 63)
-        for left in range(steps, -1, -1):
-            d = xh - xl
+        tl, th, yl, yh = np.exp2(_LUX_X[k - 1]), np.exp2(_LUX_X[k]), lev[i, k - 1], lev[i, k]
+        prev = np.full(k.size, np.nan)  # did the last step move hi? (neither before the first)
+        # a width log2(hi/lo) at most `close` certifies hi/lo <= 1 + tol after rounding;
+        # the steps suffice to halve the widest grid interval down to it, but
+        # are never more than bisecting the whole range to log2(1 + tol) takes,
+        # nor 63 (a tol below the float resolution bisects as far as that goes)
+        width = math.log1p(tol) / math.log(2.0)
+        close = width * (1.0 - 2.0 ** -50) - 2.0 ** -50
+        whole = math.log2((_LUX_X[-1] - _LUX_X[0]) / max(width, 1e-300))
+        halve = math.log2(np.diff(_LUX_X).max() / close) if close > 0.0 else math.inf
+        for left in range(max(0, min(math.ceil(min(whole, halve)), 63)), -1, -1):
+            d = np.log2(th / tl)
             done = d <= (close if left else math.inf)
             if done.any():
-                out[act[done]] = scale[act[done]] * np.sqrt(np.exp2(xl[done]) * np.exp2(xh[done]))
-                act, a, xl, xh, yl, yh, prev, d = (
-                    v[~done] for v in (act, a, xl, xh, yl, yh, prev, d))
+                out[act[done]] = scale[act[done]] * np.sqrt(tl[done] * th[done])
+                act, a, tl, th, yl, yh, prev, d = (
+                    v[~done] for v in (act, a, tl, th, yl, yh, prev, d))
             if not act.size:
                 break
-            x = np.fmin(np.fmax(xl + d * (yl / (yl - yh)), xl + 0.5 * close), xh - 0.5 * close)
-            x = np.where(d > close * 2.0 ** (left - 1), xl + 0.5 * d, x)
-            y = np.log((weights * phi(a / np.exp2(x)[:, None])).sum(axis=1))
-            up = y > 0.0
-            half = np.where(up == prev, 0.5, 1.0)
-            xl, yl, prev = np.where(up, x, xl), np.where(up, y, half * yl), up
-            xh, yh = np.where(up, xh, x), np.where(up, half * yh, y)
+            # the step, as log2(t / lo); t is taken relative to lo, so it
+            # keeps full precision however far the root lies from the row max
+            s = np.fmin(np.fmax(d - d * (yh / (yh - yl)), 0.5 * close), d - 0.5 * close)
+            t = tl * np.exp2(np.where(d > close * 2.0 ** (left - 1), 0.5 * d, s))
+            y = np.log(np.maximum((weights * phi(a / t[:, None])).sum(axis=1), 1e-300))
+            down = y <= 0.0
+            half = np.where(down == prev, 0.5, 1.0)
+            tl, yl, prev = np.where(down, tl, t), np.where(down, half * yl, y), down
+            th, yh = np.where(down, t, th), np.where(down, y, half * yh)
     return out
 
 

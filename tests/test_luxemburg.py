@@ -9,6 +9,7 @@ the whole bracket would, and about ten on typical rows.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from qnlab import (
     gauge_values_rows,
     luxemburg,
 )
+from qnlab.errors import GaugeDefinitionError
 from qnlab.gauges import DEFAULT_LUX_TOL, _loglog_eval
 from oracles import lux_level_sum, lux_oracle
 
@@ -95,6 +97,18 @@ def test_luxemburg_value_is_certified_by_fsum_level_sums(case, tol):
         assert abs(v - want) <= max(2.0 * tol, 1e-12) * want
 
 
+def test_tight_tolerance_values_are_certified_far_from_the_row_max():
+    # heavy or light weights put the root up to 2^100 from the row max, where
+    # log2 t has too few bits left to resolve hi/lo = 1 + 1e-15
+    phi, row = KERNELS["loglog"], np.array([1.0, 0.3])
+    for tol in (1e-15, 2e-15):
+        r = math.sqrt(1.0 + tol)
+        for w in (1e-12, 1e-3, 1e6, 1e12, 1e30):
+            v = luxemburg(phi, ScalarField(row), tol=tol, weights=np.full(2, w))
+            assert lux_level_sum(phi, row, [w, w], v / r) > 1.0, (tol, w)
+            assert lux_level_sum(phi, row, [w, w], v * r) <= 1.0, (tol, w)
+
+
 # ---------------------------------------------------------------------------
 # phi-call budgets
 # ---------------------------------------------------------------------------
@@ -114,7 +128,8 @@ def _budget_batches():
 def test_luxemburg_never_makes_more_phi_calls_than_bisection():
     # the first call prices the start grid, bracket ends included; the
     # fallback then keeps every row within the bisection's step count
-    for tol in (1e-13, 1e-6, 10.0, 1e-300):
+    # (tol 1e-16 and 7e-16 lie below and just above the float resolution of x)
+    for tol in (1e-13, 1e-6, 10.0, 1e-300, 1e-16, 7e-16, 1e300):
         for phi, rows, w in _budget_batches():
             calls = []
             gauge_values_rows(Orlicz(counting(phi, calls), tol=tol), MeasureSpace(w), rows)
@@ -149,6 +164,43 @@ def test_start_grid_is_priced_in_bounded_chunks():
     assert max(calls) <= 1 << 16 and len(calls) <= 5 + bisection_steps(DEFAULT_LUX_TOL)
     for i in (0, 743, 744, 1487, 1488, 2999):
         assert gauge_values_rows(g, space, rows[i:i + 1])[0] == vals[i]
+
+
+def test_tolerance_wider_than_the_range_gives_a_certified_value():
+    # one start-grid call, and the value is still the midpoint of a bracket
+    phi, row, w = KERNELS["loglog"], np.array([2.0, 0.5, 1e-3]), np.ones(3)
+    calls = []
+    v = luxemburg(counting(phi, calls), ScalarField(row), tol=1e300)
+    assert len(calls) == 1 and v > 0.0
+    assert lux_level_sum(phi, row, w, v / 1e150) > 1.0 >= lux_level_sum(phi, row, w, v * 1e150)
+
+
+# ---------------------------------------------------------------------------
+# NaN level sums read as above 1
+# ---------------------------------------------------------------------------
+
+def _nan_where(bad):
+    """phi(t) = t, but NaN wherever bad(t) holds."""
+    return OrliczFunction(name="nan", claimed_concave=False,
+                          evaluator=lambda t: np.where(bad(np.asarray(t)), np.nan, t))
+
+
+def test_nan_level_sum_at_the_bracket_bottom_still_gives_the_root():
+    # the start grid prices phi up to 2^60 times the row max, far beyond the
+    # range a kernel is checked on; a NaN there is a sum above 1
+    phi = _nan_where(lambda t: t > 1e15)
+    for tol in TOLS:
+        v = luxemburg(phi, ScalarField(np.array([2.0, 0.5, 1e-3])), tol=tol)
+        assert abs(v - 2.501) <= max(tol, 1e-12) * 2.501
+
+
+def test_nan_level_sum_at_the_bracket_top_raises_only_if_nan_or_above_1_everywhere():
+    phi = _nan_where(lambda t: (t > 0) & (t < 1e-50))
+    v = luxemburg(phi, ScalarField(np.array([2.0, 0.5, 1e-3])))
+    assert abs(v - 2.501) <= 1e-12 * 2.501
+    # the entry 1e-60 makes the sum NaN from t = 2^-33 up, and above 1 below
+    with pytest.raises(GaugeDefinitionError):
+        luxemburg(phi, ScalarField(np.array([1.0, 1e-60])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
 """Benchmark a change against its parent commit in alternating pairs of runs.
 
-    python3 tools/bench_pairs.py --pr N [--base HEAD] [--pairs 10]
-        [--workload orlicz-probes --workload kernel-bulk] [--seconds 55]
-        [--traced-seconds 15]
+    python3 tools/bench_pairs.py --pr N [--base HEAD]
 
 Run from the repository root.  The base commit's tree is exported with
 `git archive` into a temporary directory (the repository itself is left
-as it is); the change side is the working tree.  For pair i of each
-workload both sides run
+as it is); the change side is the working tree.  The workloads, the run
+length and the direction of each end-to-end metric come from
+BENCHMARK.json.  For pair i of each workload both sides run
 
     python3 perfbench/run.py --workload W --seed 901+i --seconds S --trace 0
 
 one after the other, the side that runs first alternating from pair to
-pair, so slow spells of a shared machine hit both sides alike.  With
---traced-seconds above 0 each side then makes one `--trace 1` run per
-workload for the per-layer counts, at the seed after the last pair.
+pair, so slow spells of a shared machine hit both sides alike.  Each side
+then makes one `--trace 1` run per workload for the per-layer counts, at
+the seed after the last pair.
 
 Writes BENCH_<pr>.json at the repository root: per workload, every run
 of each side, the median and quartiles of each end-to-end metric on each
@@ -38,12 +37,16 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import src_lines  # noqa: E402
 
-WORKLOADS = ("orlicz-probes", "kernel-bulk")
-LOWER_IS_BETTER = ("setup_s", "work_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+LOWER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == "lower"}
+PAIRS = 10
+TRACED_SECONDS = 15
 SEED0 = 901
 
 
@@ -71,8 +74,6 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def quartiles(xs: list) -> tuple:
-    if len(xs) < 2:
-        return xs[0], xs[0]
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
@@ -105,12 +106,7 @@ def summarize(parent: list, change: list) -> dict:
 
 def machine() -> dict:
     info = {"platform": platform.platform(), "python": platform.python_version(),
-            "cpu_count": os.cpu_count()}
-    try:
-        import numpy
-        info["numpy"] = numpy.__version__
-    except ImportError:
-        pass
+            "cpu_count": os.cpu_count(), "numpy": numpy.__version__}
     for path, key, field in (("/proc/cpuinfo", "cpu_model", "model name"),
                              ("/proc/meminfo", "memory", "MemTotal")):
         try:
@@ -135,36 +131,31 @@ def main(argv: list) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--base", default="HEAD", help="the parent commit (default HEAD)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS)
-    ap.add_argument("--seconds", type=float, default=55.0)
-    ap.add_argument("--traced-seconds", type=float, default=15.0)
     args = ap.parse_args(argv[1:])
-    workloads = args.workload or list(WORKLOADS)
+    seconds = BENCHMARK["run_seconds"]
     base = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
-    result = {"base": base, "pairs": args.pairs, "seconds": args.seconds,
+    result = {"base": base, "pairs": PAIRS, "seconds": seconds,
               "command": "python3 perfbench/run.py --workload W --seed N "
-                         f"--seconds {args.seconds:g} --trace 0", "workloads": {}}
+                         f"--seconds {seconds:g} --trace 0", "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         export_tree(base, parent_tree)
         sides = {"parent": parent_tree, "change": ROOT}
-        for w in workloads:
+        for w in (wl["name"] for wl in BENCHMARK["workloads"]):
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run_once(sides[side], w, SEED0 + i, args.seconds, 0))
+                    runs[side].append(run_once(sides[side], w, SEED0 + i, seconds, 0))
                     m = runs[side][-1]["metrics"]
                     sys.stderr.write(f"{w} pair {i} {side}: work_s {m['work_s']['value']:.4f}\n")
             entry = summarize(runs["parent"], runs["change"])
             entry["runs"] = {side: [{k: v for k, v in r.items() if k != "ops_best_s"} for r in rs]
                              for side, rs in runs.items()}
-            if args.traced_seconds > 0:
-                entry["traced"] = {side: run_once(sides[side], w, SEED0 + args.pairs,
-                                                  args.traced_seconds, 1)["metrics"]
-                                   for side in ("parent", "change")}
+            entry["traced"] = {side: run_once(sides[side], w, SEED0 + PAIRS,
+                                              TRACED_SECONDS, 1)["metrics"]
+                               for side in ("parent", "change")}
             result["workloads"][w] = entry
         result["src_lines"] = {"parent": line_totals(parent_tree / "src" / "qnlab"),
                                "change": line_totals(ROOT / "src" / "qnlab")}
