@@ -199,8 +199,9 @@ def _lux_rows(
         return out
     a = rows[act] / scale[act, None]
     per = max(1, _LUX_CHUNK // (_LUX_X.size * a.shape[1]))
-    # a level sum S becomes ln max(S, 1e-300): the tests `<= 0` below read a
-    # NaN sum as above 1, and the secant step never meets inf - inf
+    # a level sum S becomes y = ln max(S, 1e-300): the tests `<= 0` below read
+    # a NaN sum as above 1, y is never -inf, and the secant, written from the
+    # hi end, turns an infinite y at lo into a step to hi rather than a NaN
     with np.errstate(over="ignore"):
         lev = np.log(np.maximum(np.vstack([
             (weights * phi(a[s:s + per, None, :] / np.exp2(_LUX_X)[:, None])).sum(axis=2)

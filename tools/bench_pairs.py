@@ -43,8 +43,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import src_lines  # noqa: E402
 
-BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-LOWER_IS_BETTER = {m["name"] for m in BENCHMARK["end_to_end"] if m["better"] == "lower"}
 PAIRS = 10
 TRACED_SECONDS = 15
 SEED0 = 901
@@ -78,14 +76,14 @@ def quartiles(xs: list) -> tuple:
     return q[0], q[2]
 
 
-def summarize(parent: list, change: list) -> dict:
+def summarize(parent: list, change: list, lower_is_better: set) -> dict:
     """Medians, quartiles, relative change and pairs won, per end-to-end metric and per op."""
     metrics = {}
     for name in parent[0]["metrics"]:
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
         mp, mc = statistics.median(p), statistics.median(c)
-        better = sum((b < a) if name in LOWER_IS_BETTER else (b > a) for a, b in zip(p, c))
+        better = sum((b < a) if name in lower_is_better else (b > a) for a, b in zip(p, c))
         metrics[name] = {"unit": parent[0]["metrics"][name]["unit"],
                          "parent_median": mp, "change_median": mc,
                          "parent_quartiles": quartiles(p), "change_quartiles": quartiles(c),
@@ -132,7 +130,9 @@ def main(argv: list) -> int:
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--base", default="HEAD", help="the parent commit (default HEAD)")
     args = ap.parse_args(argv[1:])
-    seconds = BENCHMARK["run_seconds"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
+    lower = {m["name"] for m in bench["end_to_end"] if m["better"] == "lower"}
     base = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
     result = {"base": base, "pairs": PAIRS, "seconds": seconds,
@@ -142,7 +142,7 @@ def main(argv: list) -> int:
         parent_tree = Path(tmp)
         export_tree(base, parent_tree)
         sides = {"parent": parent_tree, "change": ROOT}
-        for w in (wl["name"] for wl in BENCHMARK["workloads"]):
+        for w in (wl["name"] for wl in bench["workloads"]):
             runs = {"parent": [], "change": []}
             for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -150,7 +150,7 @@ def main(argv: list) -> int:
                     runs[side].append(run_once(sides[side], w, SEED0 + i, seconds, 0))
                     m = runs[side][-1]["metrics"]
                     sys.stderr.write(f"{w} pair {i} {side}: work_s {m['work_s']['value']:.4f}\n")
-            entry = summarize(runs["parent"], runs["change"])
+            entry = summarize(runs["parent"], runs["change"], lower)
             entry["runs"] = {side: [{k: v for k, v in r.items() if k != "ops_best_s"} for r in rs]
                              for side, rs in runs.items()}
             entry["traced"] = {side: run_once(sides[side], w, SEED0 + PAIRS,
