@@ -662,49 +662,48 @@ def concavity_modulus_probe(
     exceed it (within 1e-9 relative).
     """
     n = len(space)
-    pairs = []
     half = max(1, n // 2)
     ind1 = np.zeros(n)
     ind1[:half] = 1.0
-    ind2 = np.zeros(n)
-    ind2[half:] = 1.0
-    if np.any(ind2 > 0):
-        pairs.append((ind1, ind2))
     harm = 1.0 / np.arange(1.0, n + 1.0)
-    pairs.append((harm, harm[::-1].copy()))
-    pairs.append((np.ones(n), np.ones(n)))
     spike = np.zeros(n)
     spike[0] = 1.0
-    pairs.append((spike, np.ones(n)))
+    fixed = [(harm, harm[::-1]), (np.ones(n), np.ones(n)), (spike, np.ones(n))]
+    if n > 1:
+        fixed.insert(0, (ind1, 1.0 - ind1))
 
-    rng = np.random.default_rng(seed)
-    styles = ("disjoint", "shared", "spiky")
-    while len(pairs) < trials:
-        style = styles[len(pairs) % len(styles)]
-        if style == "disjoint" and n >= 2:
-            mask = rng.random(n) < 0.5
-            if not mask.any() or mask.all():
-                mask[0] = True
-                mask[-1] = False
-            a = rng.random(n) * mask
-            b = rng.random(n) * ~mask
-        elif style == "spiky":
-            a = rng.random(n) ** 4
-            b = rng.random(n) ** 4
-        else:
-            a = rng.random(n)
-            b = rng.random(n)
-        pairs.append((a, b))
+    # Random pair k cycles through the disjoint, shared and spiky styles by
+    # k % 3.  All pairs come from one draw, in the order a per-pair loop of
+    # rng.random(n) calls would read it: (mask, a, b) for a disjoint pair,
+    # (a, b) for the others (a one-atom disjoint pair is a shared one).
+    k0 = len(fixed)
+    total = max(trials, k0)
+    disjoint = slice(-k0 % 3, None, 3) if n > 1 else slice(0)
+    spiky = slice((2 - k0) % 3, None, 3)
+    size = np.full(total - k0, 2 * n)
+    size[disjoint] += n
+    start = np.cumsum(size) - size
+    u = np.random.default_rng(seed).random(int(size.sum()))
+    rows = np.empty((3, total, n))
+    rows[:2, :k0] = np.array(fixed).transpose(1, 0, 2)
+    ab = rows[:2, k0:]
+    ab[:] = u[(start + size - 2 * n)[:, None] + np.arange(2 * n).reshape(2, 1, n)]
+    mask = u[start[disjoint, None] + np.arange(n)] < 0.5
+    count = mask.sum(axis=1)  # a mask that is all False or all True is mended
+    mask[:, 0] |= count == 0
+    mask[:, -1] &= count < n
+    ab[0, disjoint] *= mask
+    ab[1, disjoint] *= ~mask
+    ab[:, spiky] **= 4
+    rows[2] = rows[0] + rows[1]
 
-    ab = np.array(pairs)  # (T, 2, n)
-    rows = np.vstack([ab[:, 0], ab[:, 1], ab[:, 0] + ab[:, 1]])
-    va, vb, vab = g._value_rows(space, rows).reshape(3, -1)
+    va, vb, vab = g._value_rows(space, rows.reshape(-1, n)).reshape(3, -1)
     denom = va + vb
     ok = denom > 0
     ratios = np.where(ok, vab / np.where(ok, denom, 1.0), 0.0)
     j = int(np.argmax(ratios))
     best = float(ratios[j])
-    best_pair = (ScalarField(pairs[j][0]), ScalarField(pairs[j][1]))
+    best_pair = (ScalarField(rows[0, j].copy()), ScalarField(rows[1, j].copy()))
 
     known = g.known_kappa()
     if known is not None and best > known * (1.0 + 1e-9):

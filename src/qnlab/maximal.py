@@ -6,16 +6,19 @@ that contain the evaluation point.  A halfwidth h selects the cubes of
 radius r = floor(h N) cells; cubes are clipped to the unit domain and
 averages use the clipped cube's actual mass.
 
-One window-sum kernel computes every cube mean of the maximal operators
-and reports.  It sums only entries inside each window, so a cube mean is
-the true mean to a few ulps times log2(2r + 1) per axis, over magnitudes
-within 1e+-300, whatever the field holds outside the cube.  Exact are:
-the r = 0 scale, which returns |f| (or the target norms) bitwise; and the
-all-equal rule of cube_average and differentiation_report, under which a
-cube whose entries are bitwise equal averages to that common value, so a
-locally constant field differentiates with error exactly 0.0.  Other
-means of a constant field can be off by rounding (a constant 0.1 field
-is not reproduced bitwise at every scale).
+One doubling table along each grid axis computes every window quantity
+of the maximal operators and reports: the window sums behind each cube
+mean, and the window maxima and minima.  A sum adds only entries inside
+its window, so a cube mean is the true mean to a few ulps times
+log2(2r + 1) per axis, over magnitudes within 1e+-300, whatever the field
+holds outside the cube.  Window maxima and minima are exact.  Exact
+means are: the r = 0 scale, which returns |f| (or the target norms)
+bitwise; and the all-equal rule of cube_average and
+differentiation_report, under which a cube whose entries are bitwise
+equal averages to that common value, so a locally constant field
+differentiates with error exactly 0.0.  Other means of a constant field
+can be off by rounding (a constant 0.1 field is not reproduced bitwise
+at every scale).
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateCubeError, InputError
 from .galb_tensor import TensorRep, j_map, profile_value
@@ -130,7 +132,8 @@ def _cube_flat_indices(grid: GridSpace, cube: CubeSpec) -> np.ndarray:
 
 
 def _scalar_values(grid: GridSpace, f: Union[ScalarField, np.ndarray]) -> np.ndarray:
-    values = f.values if isinstance(f, ScalarField) else np.asarray(f, dtype=float)
+    # a raw array is checked as a signed field: 1-d and finite
+    values = (f if isinstance(f, ScalarField) else ScalarField(f, signed=True)).values
     if values.shape != (grid.n_atoms,):
         raise InputError("field length does not match the grid")
     return values
@@ -141,15 +144,13 @@ def _vector_rows(
     vf: Union[VectorField, np.ndarray],
     target: Optional[QuasiNormedSpace] = None,
 ) -> Tuple[np.ndarray, QuasiNormedSpace]:
-    if isinstance(vf, VectorField):
-        vectors, target = vf.vectors, vf.target
-    else:
-        vectors = np.asarray(vf, dtype=float)
+    if not isinstance(vf, VectorField):
         if target is None:
             raise InputError("raw vector arrays need an explicit target space")
-    if vectors.shape[0] != grid.n_atoms:
+        vf = VectorField(vf, target)  # 2-d, target-dim and finite
+    if vf.vectors.shape[0] != grid.n_atoms:
         raise InputError("vector field length does not match the grid")
-    return vectors, target
+    return vf.vectors, vf.target
 
 
 def cube_average(
@@ -234,15 +235,33 @@ def _cube_means(
         yield r, (a if r == 0 else _window_means(grid, a, r))
 
 
-def _grid_filter(
-    filt: Callable[..., np.ndarray], grid: GridSpace, a: np.ndarray, r: int, **kw
+def _window_extreme(
+    grid: GridSpace, a: np.ndarray, r: int, op: Callable[..., np.ndarray]
 ) -> np.ndarray:
-    """filt over the cube of radius r cells around each cell, column by column."""
-    if r == 0:
-        return a
-    shaped = a.reshape((grid.cells,) * grid.d + (a.shape[1],))
-    size = (2 * r + 1,) * grid.d + (1,)
-    return filt(shaped, size=size, **kw).reshape(a.shape)
+    """op (np.maximum or np.minimum) of the columns of an (n_atoms, m) array
+    over the cube of radius r cells around each cell, clipped to the grid.
+
+    Along each grid axis the field is padded by r copies of its edge
+    entries into T_0, a doubling table T_{j+1}[i] = op(T_j[i], T_j[i + 2^j])
+    is built up to the largest block 2^k <= 2r + 1, and a window of 2r + 1
+    padded entries is op of its first and last blocks of 2^k.  The edge
+    copies and the overlap of the two blocks change nothing, since op is
+    idempotent, so the result is exact (at r = 0, a itself).
+    """
+    n = grid.cells
+    r = min(r, n - 1)  # a wider window clips to the whole axis
+    width = 2 * r + 1
+    s = a.reshape((n,) * grid.d + (a.shape[1],))
+    for axis in range(grid.d):
+        s = s.swapaxes(0, axis)
+        t = np.empty((n + 2 * r,) + s.shape[1:])
+        t[:r], t[r:r + n], t[r + n:] = s[0], s, s[-1]
+        step = 1
+        while 2 * step <= width:
+            t = op(t[:-step], t[step:])
+            step *= 2
+        s = op(t[:n], t[width - step:width - step + n]).swapaxes(0, axis)
+    return s.reshape(a.shape)
 
 
 def _maximal_columns(
@@ -256,8 +275,7 @@ def _maximal_columns(
     best = np.float64(-np.inf)
     for r, means in _cube_means(grid, a, _radii(grid, scales)):
         vals = means if norms is None else norms(means)[:, None]
-        best = np.maximum(best, _grid_filter(
-            ndimage.maximum_filter, grid, vals, r, mode="constant", cval=-np.inf))
+        best = np.maximum(best, _window_extreme(grid, vals, r, np.maximum))
     return best
 
 
@@ -325,8 +343,8 @@ def differentiation_report(
     radii = _radii(grid, scales)
     errors = {}
     for r, means in _cube_means(grid, a, radii):
-        hi = _grid_filter(ndimage.maximum_filter, grid, a, r, mode="nearest")
-        lo = _grid_filter(ndimage.minimum_filter, grid, a, r, mode="nearest")
+        hi = _window_extreme(grid, a, r, np.maximum)
+        lo = _window_extreme(grid, a, r, np.minimum)
         same = np.all(hi[samples] == lo[samples], axis=1)
         diff = means[samples] - a[samples]
         err = f.target.norms(diff) if vector else np.abs(diff[:, 0])

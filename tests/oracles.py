@@ -256,6 +256,19 @@ def window_mean_oracle(grid: GridSpace, values: np.ndarray, r: int) -> np.ndarra
     return out
 
 
+def window_extreme_oracle(grid: GridSpace, values: np.ndarray, r: int, pick) -> np.ndarray:
+    """Per cell, pick (the builtin max or min) of each column of values
+    (n_atoms or (n_atoms, m)) over the cells within r cells of it along
+    every axis, clipped to the grid."""
+    a = np.asarray(values, dtype=float).reshape(grid.n_atoms, -1)
+    out = np.empty_like(a)
+    for flat in range(grid.n_atoms):
+        cells = _window_cells(grid, flat, r)
+        for col in range(a.shape[1]):
+            out[flat, col] = pick(a[c, col] for c in cells)
+    return out
+
+
 def window_maximal_oracle(grid: GridSpace, values: np.ndarray, scales: Iterable[float],
                           norm=None) -> np.ndarray:
     """Per cell, the largest norm(window_mean_oracle row) over the windows of

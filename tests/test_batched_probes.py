@@ -3,8 +3,9 @@
 Each probe prices its whole candidate set in one gauge (or norm) row call.
 The loops below redraw the same candidates from the same seed and price
 them one at a time through eval_gauge / X.norm, so the probe must agree
-with them to rounding (1e-14 relative); the intersection search and the
-L-convexity probe agree with their loops bitwise.  Every witness
+with them to rounding (1e-14 relative); the intersection search, the
+L-convexity probe and the concavity probe (whose loop draws each pair
+from its own rng.random calls) agree with their loops bitwise.  Every witness
 re-evaluates to its value, and a counting wrapper shows that the number of
 row calls does not grow with trials or budget.
 """
@@ -22,6 +23,7 @@ from qnlab import (
     Tag,
     WeakL1,
     builtin_phi,
+    concavity_modulus_probe,
     conditional_expectation,
     counting_space,
     dual_gauge,
@@ -618,3 +620,80 @@ def test_l_convexity_probe_prices_each_chunk_in_one_row_call(row_calls):
         assert l_convexity_probe(WeakL1(), 0.2, counting_space(5), trials=trials, seed=1) is None
         # the bite families, then one call per chunk of drawn trials
         assert len(calls) <= 1 + -(-trials // convexity._TRIAL_CHUNK)
+
+
+# ---------------------------------------------------------------------------
+# modulus-of-concavity probe
+# ---------------------------------------------------------------------------
+
+def concavity_loop(g, space, trials, seed):
+    """The probe as a per-pair loop: each pair draws from its own rng.random calls."""
+    n = len(space)
+    pairs = []
+    half = max(1, n // 2)
+    ind1 = np.zeros(n)
+    ind1[:half] = 1.0
+    ind2 = np.zeros(n)
+    ind2[half:] = 1.0
+    if np.any(ind2 > 0):
+        pairs.append((ind1, ind2))
+    harm = 1.0 / np.arange(1.0, n + 1.0)
+    pairs.append((harm, harm[::-1].copy()))
+    pairs.append((np.ones(n), np.ones(n)))
+    spike = np.zeros(n)
+    spike[0] = 1.0
+    pairs.append((spike, np.ones(n)))
+
+    rng = np.random.default_rng(seed)
+    styles = ("disjoint", "shared", "spiky")
+    while len(pairs) < trials:
+        style = styles[len(pairs) % len(styles)]
+        if style == "disjoint" and n >= 2:
+            mask = rng.random(n) < 0.5
+            if not mask.any() or mask.all():
+                mask[0] = True
+                mask[-1] = False
+            a = rng.random(n) * mask
+            b = rng.random(n) * ~mask
+        elif style == "spiky":
+            a = rng.random(n) ** 4
+            b = rng.random(n) ** 4
+        else:
+            a = rng.random(n)
+            b = rng.random(n)
+        pairs.append((a, b))
+
+    ab = np.array(pairs)  # (T, 2, n)
+    rows = np.vstack([ab[:, 0], ab[:, 1], ab[:, 0] + ab[:, 1]])
+    va, vb, vab = g._value_rows(space, rows).reshape(3, -1)
+    denom = va + vb
+    ok = denom > 0
+    ratios = np.where(ok, vab / np.where(ok, denom, 1.0), 0.0)
+    j = int(np.argmax(ratios))
+    return float(ratios[j]), pairs[j]
+
+
+@pytest.mark.parametrize("g", [Lp(0.5), WeakL1(), Orlicz(builtin_phi("rational"))],
+                         ids=["L0.5", "weakL1", "rational"])
+def test_concavity_probe_matches_loop_bitwise_in_one_row_call(g, row_calls, monkeypatch):
+    calls = row_calls(type(g))
+    priced = []
+    counted = type(g)._value_rows
+
+    def recorded(self, space, rows):
+        priced.append(rows.tobytes())
+        return counted(self, space, rows)
+
+    monkeypatch.setattr(type(g), "_value_rows", recorded)
+    for n in (1, 2, 3, 16):
+        space = counting_space(n)
+        for trials in (1, 4, 5, 2000):
+            value, (a, b) = concavity_loop(g, space, trials, seed=n + trials)
+            calls.clear()
+            br = concavity_modulus_probe(g, space, trials=trials, seed=n + trials)
+            assert len(calls) == 1
+            # the same candidate rows, then the same value and witness
+            assert priced[-1] == priced[-2]
+            assert np.float64(br.value).tobytes() == np.float64(value).tobytes()
+            assert br.witness[0].values.tobytes() == a.tobytes()
+            assert br.witness[1].values.tobytes() == b.tobytes()

@@ -29,6 +29,7 @@ from oracles import (
     lp_oracle,
     maximal_oracle,
     vector_maximal_oracle,
+    window_extreme_oracle,
     window_maximal_oracle,
 )
 
@@ -201,6 +202,26 @@ def test_maximal_input_validation():
         vector_maximal(g, np.ones((8, 2)))  # raw array without a target
     with pytest.raises(InputError):
         vector_maximal(g, np.ones((7, 2)), target=lq_space(2, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_raw_fields_are_rejected_before_any_window_is_built(bad, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a window kernel ran on a non-finite field")
+
+    monkeypatch.setattr(maximal, "_window_means", no_kernel)
+    monkeypatch.setattr(maximal, "_window_extreme", no_kernel)
+    g = GridSpace(1, 8)
+    f = np.ones(8)
+    f[3] = bad
+    for call in (lambda: hl_maximal(g, f), lambda: weak11_constant(g, f),
+                 lambda: differentiation_report(g, f, [0], (0.25,))):
+        with pytest.raises(InputError, match="finite"):
+            call()
+    v = np.ones((8, 2))
+    v[5, 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        vector_maximal(g, v, target=lq_space(2, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +411,16 @@ def _fields(m, lo=-300, hi=300):
     return grids.flatmap(lambda g: st.tuples(st.just(g), st.lists(
         _entries(lo, hi), min_size=g.n_atoms * m, max_size=g.n_atoms * m,
     ).map(lambda xs: np.array(xs).reshape(g.n_atoms, m))))
+
+
+@settings(max_examples=120)
+@given(data=st.integers(1, 3).flatmap(_fields), r=st.integers(0, 26))
+def test_window_extremes_equal_the_enumeration_bitwise(data, r):
+    # r runs from the r = 0 identity past every grid's cell count
+    g, a = data
+    for op, pick in ((np.maximum, max), (np.minimum, min)):
+        got = maximal._window_extreme(g, a, r, op)
+        assert got.tobytes() == window_extreme_oracle(g, a, r, pick).tobytes()
 
 
 @settings(max_examples=30)

@@ -1,5 +1,7 @@
 """Source hygiene checks over the modules of src/qnlab."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import qnlab
@@ -28,3 +30,12 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def test_importing_qnlab_loads_no_scipy_module():
+    # a fresh interpreter, so modules the test run imported do not count
+    code = ("import sys, qnlab, qnlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "[]"
