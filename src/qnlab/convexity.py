@@ -197,8 +197,10 @@ def lattice_constant_probe(
     fams = [fam for fam in fams if np.any(fam > 0)]
     stack = _pad(fams, max_parts, n)
     combined = _lp_rows(stack.transpose(0, 2, 1).reshape(-1, max_parts), p, np.ones(max_parts))
-    G = gauge_values_rows(g, space, combined.reshape(-1, n))
-    H = _envelope_values(g, p, space, stack)
+    # G and the envelope stack in one row call
+    vals = gauge_values_rows(g, space, np.vstack([combined.reshape(-1, n), stack.reshape(-1, n)]))
+    G = vals[:len(fams)]
+    H = _lp_rows(vals[len(fams):].reshape(-1, max_parts), p, np.ones(max_parts))
     ratios = _ratios(G, H) if mode == "convex" else _ratios(H, G)
     best = float(ratios.max(initial=0.0))
     witness = None
@@ -406,10 +408,10 @@ def leveling_constant_probe(
         cand.append((random_values(rng, n, style), random_partition(rng, n)))
 
     cand = cand[: int(trials)]
-    fields = np.array([vals for vals, _ in cand]).reshape(-1, n)
-    levels = np.array([conditional_expectation(space, part, ScalarField(vals)).values
-                       for vals, part in cand]).reshape(-1, n)
-    ratios = _ratios(gauge_values_rows(g, space, levels), gauge_values_rows(g, space, fields))
+    # the leveled fields, then the fields, priced in one row call
+    rows = np.array([conditional_expectation(space, part, ScalarField(vals)).values
+                     for vals, part in cand] + [vals for vals, _ in cand]).reshape(-1, n)
+    ratios = _ratios(*gauge_values_rows(g, space, rows).reshape(2, -1))
     best = float(ratios.max(initial=0.0))
     witness = None
     if best > 0:

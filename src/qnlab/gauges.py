@@ -11,8 +11,9 @@ Available kinds:
   WeakL1             sup_s s * mu{|f| > s}  =  max_k v_k * m_k over the
                      decreasing rearrangement (closed form, exact)
   Orlicz(phi)        Luxemburg gauge inf{t > 0 : sum w phi(|f|/t) <= 1},
-                     bracketed in a fixed range by a start grid, then
-                     closed to relative width tol by an Illinois
+                     bracketed in a fixed range by a start grid read in
+                     two rounds (coarse points, then one group), then
+                     closed to relative width tol by an Anderson-Bjorck
                      iteration on log2 t with a bisection fallback (power
                      kernels: the Lp closed form)
   Convexified(g, r)  g(|f|^r)^(1/r)
@@ -46,7 +47,12 @@ _ORLICZ_GRID = np.logspace(-9.0, 3.0, 1000)
 # ends, so a root below 2^-60 (about 1e-18) reads as 0, and a level sum above
 # 1 at 2^200 means the kernel defines no gauge; the points between are a start
 # grid, dense where the roots of the builtin kernels lie
-_LUX_X = np.array([-60.0, -24.0, -12.0, -6.0, -3.0, 0.0, 3.0, 6.0, 12.0, 24.0, 200.0])
+_LUX_X = np.array([-60.0, -24.0, -12.0, -6.0, -3.0, 0.0, 3.0, 6.0, 12.0, 24.0, 64.0, 200.0])
+# its coarse points 2^-12, 1 and 2^12 split it into four groups: group g
+# runs from its g-th coarse point up to the next one (group 0 from the bottom,
+# group 3 to the top)
+_LUX_COARSE = np.isin(_LUX_X, (-12.0, 0.0, 12.0))
+_LUX_GROUP = np.searchsorted(_LUX_X[_LUX_COARSE], _LUX_X, side="right")
 _LUX_CHUNK = 1 << 16  # start-grid points priced per phi call
 
 
@@ -121,9 +127,9 @@ def _power_eval(p: float):
 
 
 def _loglog_eval(t: np.ndarray) -> np.ndarray:
-    # 1/t is taken of t >= 2^-1022 only, so a subnormal t gets a finite value
-    t = np.asarray(t, dtype=float)
-    return np.where(t > 0, t * np.log(np.e + 1.0 / np.maximum(t, 2.0 ** -1022)), 0.0)
+    # for t >= 0: 1/t is taken of t >= 2^-1022 only, so a subnormal t gets a
+    # finite value, and t = 0 gets 0 * log(e + 2^1022) = 0
+    return t * np.log(np.e + 1.0 / np.maximum(t, 2.0 ** -1022))
 
 
 def _rational_eval(t: np.ndarray) -> np.ndarray:
@@ -163,7 +169,7 @@ def builtin_phi(name: str, p: Optional[float] = None) -> OrliczFunction:
 
 
 # ---------------------------------------------------------------------------
-# Luxemburg gauge by a bracketed Illinois iteration
+# Luxemburg gauge by a bracketed Anderson-Bjorck iteration
 # ---------------------------------------------------------------------------
 
 def _lux_rows(
@@ -172,73 +178,109 @@ def _lux_rows(
     """Row-wise Luxemburg gauge of a nonnegative (m, n) array.
 
     With a = row / row max and x = log2 t, the level sum S(x) = sum w phi(a/2^x)
-    is nonincreasing.  One phi call per 2^16 points prices S on the start
-    grid _LUX_X, where (as in every later test) a NaN sum counts as above 1:
-    rows with S <= 1 at its bottom get value 0 (the infimum is that small, or
-    genuinely 0 for bounded kernels on tiny supports), and a row with S > 1
-    at every grid point raises GaugeDefinitionError.  Every other row takes
-    the grid interval where S first falls to 1 as its bracket [lo, hi],
-    S(lo) > 1 >= S(hi), and steps by regula falsi on y = ln S against x with
-    the Illinois halving: the end kept twice running has its y halved.  The
-    ends are kept as t and each step is taken from lo, so hi/lo resolves to
-    an ulp of t wherever the root lies.  A step lands at least half the
-    closing width inside the bracket, so once the secant point is that close
-    to the root the step crosses it and closes the bracket.  Each step
-    prices the live rows once; a row bisects as soon as halving alone is
-    left to close its bracket in the steps that remain.  The steps are never
-    more than bisecting the whole range to hi/lo <= 1 + tol would take, nor
-    63.  A row stops when hi/lo <= 1 + tol, or when the steps run out (only
-    for tol near the float resolution), and gets scale * sqrt(lo * hi).  Its
-    value depends only on the row, never on the rows batched with it.
+    is nonincreasing.  Every row reads its start grid _LUX_X by one rule,
+    where (as in every later test) a NaN sum counts as above 1: first the
+    coarse points 2^-12, 1 and 2^12, then the other points of the one group
+    that ends where S first falls to 1 among them (the top group when it
+    never does); the points of lower groups are never read.  A batch of at
+    most 2^16 grid points (12 m n) prices the whole grid in one phi call.  A
+    larger one prices its 3m coarse points, then its p group points (2 per
+    row, 3 in the top group), each round in calls of at most
+    c = floor(2^16 / n) points: ceil(3m / c) + ceil(p / c) start-grid calls.
+    Rows with S <= 1 at the grid bottom get value 0 (the infimum is that
+    small, or genuinely 0 for bounded kernels on tiny supports), and a row
+    with S > 1 at every point it reads raises GaugeDefinitionError.  Every
+    other row takes the interval where S first falls to 1 among the points
+    it reads as its bracket [lo, hi], S(lo) > 1 >= S(hi) (for a monotone
+    computed S, the first sign change on the whole grid).  It steps by
+    regula falsi on y = ln S against x with the Anderson-Bjorck scaling:
+    when a step replaces the same end as the step before, the y of the end
+    kept is scaled by m = 1 - y_new / y_replaced, or by 1/2 where m <= 0 or
+    is NaN.  The ends are kept as t and each step is taken from lo, so hi/lo
+    resolves to an ulp of t wherever the root lies.  A step lands at least
+    half the closing width inside the bracket, so once the secant point is
+    that close to the root the step crosses it and closes the bracket.  Each
+    step prices the live rows once; a row bisects as soon as halving alone
+    is left to close its bracket in the steps that remain.  The steps are as
+    many as bisecting the whole range to hi/lo <= 1 + tol would take, but
+    never more than 63.  A row stops when hi/lo <= 1 + tol, or when the
+    steps run out (only for tol near the float resolution), and gets
+    scale * sqrt(lo * hi).  Its value depends only on the row, never on the
+    rows batched with it.
     """
-    rows = np.asarray(rows, dtype=float)
     out = np.zeros(rows.shape[0])
     scale = rows.max(axis=1)
     act = np.flatnonzero(scale > 0)
     if act.size == 0:
         return out
     a = rows[act] / scale[act, None]
-    per = max(1, _LUX_CHUNK // (_LUX_X.size * a.shape[1]))
+
     # a level sum S becomes y = ln max(S, 1e-300): the tests `<= 0` below read
     # a NaN sum as above 1, y is never -inf, and the secant, written from the
     # hi end, turns an infinite y at lo into a step to hi rather than a NaN
+    def level(q: np.ndarray) -> np.ndarray:
+        return np.log(np.maximum((weights * phi(q)).sum(axis=-1), 1e-300))
+
+    def price(pts: np.ndarray) -> None:
+        # lev at the (row, point) pairs of a nonempty mask, floor(2^16 / n) per phi call
+        per = max(1, _LUX_CHUNK // a.shape[1])
+        for r, j in zip(*(np.split(v, range(per, v.size, per)) for v in np.nonzero(pts))):
+            lev[r, j] = level(a[r] / np.exp2(_LUX_X[j, None]))
+
+    one = a.size * _LUX_X.size <= _LUX_CHUNK
     with np.errstate(over="ignore"):
-        lev = np.log(np.maximum(np.vstack([
-            (weights * phi(a[s:s + per, None, :] / np.exp2(_LUX_X)[:, None])).sum(axis=2)
-            for s in range(0, a.shape[0], per)]), 1e-300))
-        k = np.argmax(lev <= 0.0, axis=1)  # the first grid point with S <= 1
+        if one:
+            lev = level(a[:, None, :] / np.exp2(_LUX_X)[:, None])
+        else:
+            lev = np.full((a.shape[0], _LUX_X.size), np.nan)
+            price(np.broadcast_to(_LUX_COARSE, lev.shape))
+        # g counts the coarse points read above 1 before the first at or below
+        # it; the points below the g-th one are not read
+        g = np.logical_and.accumulate(~(lev[:, _LUX_COARSE] <= 0.0), axis=1).sum(axis=1)
+        lev[_LUX_GROUP < g[:, None]] = np.nan
+        if not one:
+            price((_LUX_GROUP == g[:, None]) & ~_LUX_COARSE)
+        k = np.argmax(lev <= 0.0, axis=1)  # the first point read with S <= 1
         if not np.all(lev[np.arange(k.size), k] <= 0.0):
             raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
         act, a, lev, k = act[k > 0], a[k > 0], lev[k > 0], k[k > 0]
         i = np.arange(k.size)
         tl, th, yl, yh = np.exp2(_LUX_X[k - 1]), np.exp2(_LUX_X[k]), lev[i, k - 1], lev[i, k]
-        prev = np.full(k.size, np.nan)  # did the last step move hi? (neither before the first)
+        yp = np.full(k.size, np.inf)  # the y of the last step (inf before the first)
         # a width log2(hi/lo) at most `close` certifies hi/lo <= 1 + tol after rounding;
-        # the steps suffice to halve the widest grid interval down to it, but
-        # are never more than bisecting the whole range to log2(1 + tol) takes,
-        # nor 63 (a tol below the float resolution bisects as far as that goes)
+        # the steps are as many as bisecting the whole range to log2(1 + tol)
+        # takes, which suffices to halve the widest grid interval down to it,
+        # but never more than 63 (a tol below the float resolution bisects as
+        # far as that goes)
         width = math.log1p(tol) / math.log(2.0)
         close = width * (1.0 - 2.0 ** -50) - 2.0 ** -50
         whole = math.log2((_LUX_X[-1] - _LUX_X[0]) / max(width, 1e-300))
-        halve = math.log2(np.diff(_LUX_X).max() / close) if close > 0.0 else math.inf
-        for left in range(max(0, min(math.ceil(min(whole, halve)), 63)), -1, -1):
+        for left in range(max(0, min(math.ceil(whole), 63)), -1, -1):
             d = np.log2(th / tl)
             done = d <= (close if left else math.inf)
-            if done.any():
+            if np.count_nonzero(done):
                 out[act[done]] = scale[act[done]] * np.sqrt(tl[done] * th[done])
-                act, a, tl, th, yl, yh, prev, d = (
-                    v[~done] for v in (act, a, tl, th, yl, yh, prev, d))
+                act, a, tl, th, yl, yh, yp, d = (v[~done] for v in (act, a, tl, th, yl, yh, yp, d))
             if not act.size:
                 break
             # the step, as log2(t / lo); t is taken relative to lo, so it
             # keeps full precision however far the root lies from the row max
             s = np.fmin(np.fmax(d - d * (yh / (yh - yl)), 0.5 * close), d - 0.5 * close)
-            t = tl * np.exp2(np.where(d > close * 2.0 ** (left - 1), 0.5 * d, s))
-            y = np.log(np.maximum((weights * phi(a / t[:, None])).sum(axis=1), 1e-300))
+            lim = close * 2.0 ** (left - 1)
+            if d.max() > lim:  # a row wider than lim bisects
+                s = np.where(d > lim, 0.5 * d, s)
+            t = tl * np.exp2(s)
+            y = level(a / t[:, None])
+            # q = y / yp, yp the last step's y, is >= 0 when this step replaces
+            # the end the last one did; the end kept then is scaled by m = 1 - q,
+            # or by 1/2 where that is not positive or q is NaN; q < 0 (the
+            # other end) gives m = 1, as does q = 0 (the first step: yp = inf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = y / yp
+            m = np.where(q < 1.0, np.fmin(1.0 - q, 1.0), 0.5)
             down = y <= 0.0
-            half = np.where(down == prev, 0.5, 1.0)
-            tl, yl, prev = np.where(down, tl, t), np.where(down, half * yl, y), down
-            th, yh = np.where(down, t, th), np.where(down, y, half * yh)
+            tl, yl, yp = np.where(down, tl, t), np.where(down, m * yl, y), y
+            th, yh = np.where(down, t, th), np.where(down, y, m * yh)
     return out
 
 
@@ -252,8 +294,8 @@ def luxemburg(
 
     Counting measure unless explicit weights are given.  The value is the
     geometric midpoint of a bracket [lo, hi] with level sum > 1 at lo, <= 1 at
-    hi and hi/lo <= 1 + tol, found by the Illinois solve of `_lux_rows` in
-    about ten phi calls.  Returns 0 for the zero field, and 0 when no positive
+    hi and hi/lo <= 1 + tol, found by the Anderson-Bjorck solve of `_lux_rows`
+    in about seven phi calls.  Returns 0 for the zero field, and 0 when no positive
     t pushes the level sum above 1 (bounded kernels on small supports).
     """
     if not 0.0 < tol < math.inf:

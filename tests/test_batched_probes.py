@@ -116,13 +116,14 @@ def test_lattice_probe_matches_loop_and_witness(g, rel):
         assert br.value == pytest.approx(G / H if mode == "convex" else H / G, rel=rel)
 
 
-def test_lattice_probe_makes_two_row_calls(row_calls):
+def test_lattice_probe_makes_one_row_call(row_calls):
+    # the combined rows and the envelope stack are priced together
     calls = row_calls(Orlicz)
     for trials in (5, 60):
         calls.clear()
         lattice_constant_probe(Orlicz(builtin_phi("loglog")), "concave", 1.0,
                                counting_space(6), trials=trials, seed=1)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +158,13 @@ def test_leveling_probe_matches_loop_and_witness(g, rel):
                                          rel=rel)
 
 
-def test_leveling_probe_makes_two_row_calls(row_calls):
+def test_leveling_probe_makes_one_row_call(row_calls):
+    # the leveled fields and the fields are priced together
     calls = row_calls(Lp)
     for trials in (10, 200):
         calls.clear()
         leveling_constant_probe(Lp(0.5), counting_space(5), trials=trials, seed=0)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

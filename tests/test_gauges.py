@@ -34,6 +34,7 @@ from qnlab import (
     weak_l1_value,
 )
 from oracles import dual_oracle, intersect_oracle, weak_l1_oracle
+from test_luxemburg import _nan_where
 
 
 def _builtin_gauges():
@@ -134,22 +135,52 @@ def test_loglog_luxemburg_singleton_anchor():
 
 def test_luxemburg_batch_values_equal_single_row_values_bitwise():
     # every step of the solve reads only its own row, so a row's value
-    # cannot depend on the rows it is batched with
+    # cannot depend on the rows it is batched with; 1100 rows of 5 atoms hold
+    # more than 2^16 start-grid points, so that batch reads its grid in two
+    # rounds where a lone row reads it in one call, and its atom weights 1e-9
+    # to 1e12 put roots in every group of the grid
     rng = np.random.default_rng(15)
-    s = MeasureSpace(np.array([0.7, 1.3, 1.0, 2.1, 0.4]))
-    rows = np.exp(rng.uniform(-3, 3, size=(30, 5)))
-    rows[rng.random(rows.shape) < 0.3] = 0.0
-    rows[:10] *= 1e300
-    rows[10:20] *= 1e-300
-    rows[0] = [0.0, 0.0, 0.0, 0.0, 4.0]  # one atom of mass 0.4: rational gives 0
+    small = np.exp(rng.uniform(-3, 3, size=(30, 5)))
+    small[rng.random(small.shape) < 0.3] = 0.0
+    small[:10] *= 1e300
+    small[10:20] *= 1e-300
+    small[0] = [0.0, 0.0, 0.0, 0.0, 4.0]  # one atom of mass 0.4: rational gives 0
+    big = np.exp(rng.uniform(-3, 3, size=(1100, 5)))
+    big[rng.random(big.shape) < 0.5] = 0.0
+    big[:100] *= 1e300
+    big[100:200] *= 1e-300
+    big[200:210] = 0.0
+    cases = ((MeasureSpace(np.array([0.7, 1.3, 1.0, 2.1, 0.4])), small),
+             (MeasureSpace(np.array([1e-9, 1e-3, 1.0, 1e3, 1e12])), big))
     # t^(1/2) without its exponent p, so the gauge is solved instead of taking L_0.5
     sqrt = OrliczFunction(name="sqrt", evaluator=builtin_phi("power", 0.5).evaluator)
     for phi in (builtin_phi("loglog"), builtin_phi("rational"), sqrt):
         g = Orlicz(phi)
-        batch = gauge_values_rows(g, s, rows)
-        single = np.array([gauge_values_rows(g, s, r[None, :])[0] for r in rows])
-        assert np.array_equal(batch, single), phi.name
-    assert gauge_values_rows(Orlicz(builtin_phi("rational")), s, rows)[0] == 0.0
+        for s, rows in cases:
+            batch = gauge_values_rows(g, s, rows)
+            single = np.array([gauge_values_rows(g, s, r[None, :])[0] for r in rows])
+            assert np.array_equal(batch, single), (phi.name, len(rows))
+        x = np.log2(batch[batch > 0] / big.max(axis=1)[batch > 0])
+        assert np.all(np.histogram(x, bins=[-60, -12, 0, 12, 200])[0] > 0), phi.name
+    assert gauge_values_rows(Orlicz(builtin_phi("rational")), *cases[0])[0] == 0.0
+
+
+def test_luxemburg_batch_beyond_one_chunk_reads_nan_islands_as_a_lone_row_does():
+    # phi(t) = t but NaN on (2e3, 1e5): the grid point 2^-12 reads above 1
+    # for many rows whose sum is below 1 lower down, so a batch must read the
+    # same points as a lone row; NaN below 1e-50 makes the row [1, 1e-60]
+    # read above 1 at every point, and it raises alone and in a batch
+    phi = _nan_where(lambda t: ((t > 2e3) & (t < 1e5)) | ((t > 0) & (t < 1e-50)))
+    g, s = Orlicz(phi), MeasureSpace(np.array([1e-9, 1e-8, 1.0, 1e-9, 1e-8, 2.0]))
+    rng = np.random.default_rng(17)
+    rows = np.exp(rng.uniform(-3, 3, size=(1000, 6)))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    batch = gauge_values_rows(g, s, rows)
+    assert np.array_equal(batch, [gauge_values_rows(g, s, r[None, :])[0] for r in rows])
+    bad = np.array([[1.0, 1e-60, 0.0, 0.0, 0.0, 0.0]])
+    for r in (bad, np.vstack([rows, bad])):
+        with pytest.raises(GaugeDefinitionError):
+            gauge_values_rows(g, s, r)
 
 
 def test_luxemburg_tightest_tolerance_stops_after_64_phi_calls():

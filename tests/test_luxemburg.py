@@ -150,19 +150,38 @@ def test_luxemburg_mean_phi_calls_on_single_rows():
             v = luxemburg(counting(KERNELS[name], calls), ScalarField(row), tol=1e-13, weights=w)
             assert v == luxemburg(KERNELS[name], ScalarField(row), tol=1e-13, weights=w)
             counts.append(len(calls))
-    assert np.mean(counts) <= 14.0, np.mean(counts)
+    assert np.mean(counts) <= 9.5, np.mean(counts)
+
+
+def test_heavy_weights_do_not_fall_back_to_bisection():
+    # these roots lie 2^24.8 and 2^35 times the row max, in the start-grid
+    # interval [2^24, 2^64], narrow enough for regula falsi to close it
+    # before the bisection fallback starts
+    phi, row = KERNELS["loglog"], np.array([1.0, 0.5, 0.2])
+    r = math.sqrt(1.0 + DEFAULT_LUX_TOL)
+    for w in (1e6, 1e9):
+        calls = []
+        v = gauge_values_rows(Orlicz(counting(phi, calls)), MeasureSpace(np.full(3, w)),
+                              row[None, :])[0]
+        assert len(calls) <= 12, (w, len(calls))
+        assert lux_level_sum(phi, row, [w] * 3, v / r) > 1.0, w
+        assert lux_level_sum(phi, row, [w] * 3, v * r) <= 1.0, w
 
 
 def test_start_grid_is_priced_in_bounded_chunks():
-    # at most 2^16 grid points per phi call (744 rows of 8 atoms), and the
-    # rows on either side of a chunk boundary keep their one-row values
+    # 3000 rows of 8 atoms hold more than 2^16 grid points, so the start grid
+    # is read in two rounds of calls of at most 8192 points: the 9000 coarse
+    # points in 2 calls, then the 6000 group points (no root lies above 2^12
+    # times its row max) in 1; the rows on either side of a chunk boundary
+    # keep their one-row values
     rng = np.random.default_rng(2)
     rows = np.exp(rng.uniform(-3.0, 3.0, size=(3000, 8)))
     g, space = Orlicz(KERNELS["loglog"]), MeasureSpace(np.ones(8))
     calls = []
     vals = gauge_values_rows(Orlicz(counting(KERNELS["loglog"], calls)), space, rows)
-    assert max(calls) <= 1 << 16 and len(calls) <= 5 + bisection_steps(DEFAULT_LUX_TOL)
-    for i in (0, 743, 744, 1487, 1488, 2999):
+    assert calls[:3] == [8192 * 8, 808 * 8, 6000 * 8] and max(calls[3:]) <= 3000 * 8
+    assert len(calls) <= 3 + bisection_steps(DEFAULT_LUX_TOL)
+    for i in (0, 2730, 2731, 2999):  # the first coarse chunk ends in row 2730
         assert gauge_values_rows(g, space, rows[i:i + 1])[0] == vals[i]
 
 
