@@ -12,49 +12,29 @@ carries the witness), 2 malformed input or unknown names.
 from __future__ import annotations
 
 import argparse
+import inspect
+import math
 import sys
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .bounds import BoundResult
-from .convexity import (
-    Decomposition,
-    lattice_constant_probe,
-    leveling_constant_probe,
-    mii_sweep,
-    p_envelope,
-)
+from .checks import CHECKS
+from .convexity import Decomposition, mii_sweep, p_envelope
 from .errors import DegenerateCubeError, GaugeDefinitionError, InputError
 from .galb_tensor import (
     GalbWitness,
     TensorRep,
     galb_gauge_estimate,
-    galbs_check,
-    i_map,
-    i_map_termwise,
-    j_map,
     profile_value,
     tensor_norm_estimate,
 )
-from .gauges import Lp, Orlicz, builtin_phi, dual_gauge, eval_gauge, eval_vector_gauge
-from .integration import representation_independence_check, rolewicz_counterexample
-from .maximal import (
-    GridSpace,
-    default_scales,
-    differentiation_report,
-    series_domination_report,
-    weak11_constant,
-)
-from .measure import (
-    MeasureSpace,
-    Partition,
-    ScalarField,
-    VectorField,
-    counting_space,
-    uniform_probability_space,
-)
+from .gauges import dual_gauge, eval_gauge, eval_vector_gauge
+from .integration import rolewicz_counterexample
+from .maximal import GridSpace, default_scales, differentiation_report, weak11_constant
+from .measure import Partition, ScalarField, VectorField
 from .serialize import (
     _number_array,
     dumps_csv,
@@ -67,14 +47,14 @@ from .serialize import (
     parse_target,
     parse_tensor_rep,
 )
-from .spaces import lq_space, weak_l1_space
 
 # ---------------------------------------------------------------------------
 # payload assembly
 # ---------------------------------------------------------------------------
 
 
-def _witness_payload(w: Any) -> Any:
+def _payload(w: Any) -> Any:
+    """w with every witness object replaced by its JSON form."""
     if w is None:
         return None
     if isinstance(w, ScalarField):
@@ -91,19 +71,20 @@ def _witness_payload(w: Any) -> Any:
         return {"coefficients": w.coefficients, "vectors": w.vectors, "value": w.value}
     if isinstance(w, np.ndarray):
         return w
+    if isinstance(w, dict):
+        return {key: _payload(value) for key, value in w.items()}
     if isinstance(w, (tuple, list)):
-        return [_witness_payload(item) for item in w]
+        return [_payload(item) for item in w]
     if isinstance(w, (int, float, str, bool, np.integer, np.floating)):
         return w
     return repr(w)
 
 
-def _bound_payload(br: BoundResult, with_witness: bool = True) -> Dict[str, Any]:
-    out: Dict[str, Any] = {"value": float(br.value), "tag": br.tag.name.lower()}
+def _bound_payload(br: BoundResult) -> Dict[str, Any]:
+    out: Dict[str, Any] = {"value": float(br.value), "tag": br.tag.name.lower(),
+                           "witness": _payload(br.witness)}
     if br.tol is not None:
         out["tol"] = float(br.tol)
-    if with_witness:
-        out["witness"] = _witness_payload(br.witness)
     return out
 
 
@@ -132,6 +113,20 @@ def _int_list(text: str) -> List[int]:
 
 def _float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _dims_list(text: str) -> List[Tuple[int, int]]:
@@ -315,271 +310,28 @@ def cmd_ftc(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_orlicz_concavity(args: argparse.Namespace) -> Tuple[bool, Dict[str, Any]]:
-    trials = args.trials if args.trials is not None else 200
-    tol = args.tol if args.tol is not None else 1e-9
-    # total mass above one, otherwise the bounded rational kernel makes
-    # the gauge vanish identically and the check would be vacuous
-    space = counting_space(6)
-    kernels = (("loglog", None), ("rational", None), ("power", 0.5))
-    per: Dict[str, Any] = {}
-    passed = True
-    for name, p in kernels:
-        label = name if p is None else f"{name}({p:g})"
-        gauge = Orlicz(builtin_phi(name, p))
-        br = lattice_constant_probe(gauge, "concave", 1.0, space, trials=trials, seed=args.seed)
-        bad = br.value > 1.0 + tol
-        per[label] = {"constant": br.value, "violated": bad}
-        if bad:
-            per[label]["witness"] = _witness_payload(br.witness)
-            passed = False
-    return passed, {"kernels": per, "trials": trials, "tolerance": tol}
-
-
-def _suite_mii(args: argparse.Namespace) -> Tuple[bool, Dict[str, Any]]:
-    trials = args.trials if args.trials is not None else 200
-    tol = args.tol if args.tol is not None else 1e-9
-    rep = mii_sweep(
-        Lp(2.0), Lp(1.0), dims=[(4, 4), (8, 8), (16, 16), (32, 32)],
-        trials=trials, seed=args.seed,
-    )
-    passed = rep.max_ratio <= 1.0 + tol
-    payload: Dict[str, Any] = {
-        "pair": [Lp(2.0).label(), Lp(1.0).label()],
-        "per_dim": {f"{m}x{n}": v for (m, n), v in rep.per_dim.items()},
-        "max_ratio": rep.max_ratio,
-        "threshold": 1.0 + tol,
-        "trials": trials,
-    }
-    if not passed:
-        payload["witness"] = rep.witness
-    return passed, payload
-
-
-def _suite_galb(args: argparse.Namespace) -> Tuple[bool, Dict[str, Any]]:
-    trials = args.trials if args.trials is not None else 20
-    budget = args.budget if args.budget is not None else 1500
-    lam = Orlicz(builtin_phi("loglog"))
-    target = weak_l1_space(32)
-    rep = galbs_check(lam, target, sizes=(8, 16, 32), trials=trials, seed=args.seed, budget=budget)
-    growth = rep.per_size[32] / rep.per_size[8]
-    bounded = growth <= 1.75
-    a = 1.0 / (1.0 + np.arange(8))
-    banach = galb_gauge_estimate(lq_space(8, 1.0), a, budget=budget, seed=args.seed)
-    halfq = galb_gauge_estimate(lq_space(8, 0.5), a, budget=budget, seed=args.seed)
-    want_banach = float(np.sum(a))
-    want_halfq = float(np.sum(np.sqrt(a)) ** 2)
-    anchors_ok = (
-        abs(banach.value - want_banach) <= 1e-6 * want_banach
-        and abs(halfq.value - want_halfq) <= 1e-6 * want_halfq
-    )
-    payload: Dict[str, Any] = {
-        "per_size": {str(k): v for k, v in rep.per_size.items()},
-        "growth_8_to_32": growth,
-        "growth_threshold": 1.75,
-        "anchors": {
-            "banach_l1": {"estimate": banach.value, "expected": want_banach},
-            "lq_half": {"estimate": halfq.value, "expected": want_halfq},
-        },
-        "trials": trials,
-        "budget": budget,
-    }
-    if not bounded:
-        payload["witness"] = rep.witness_coefficients
-    return bounded and anchors_ok, payload
-
-
-def _suite_leveling(args: argparse.Namespace) -> Tuple[bool, Dict[str, Any]]:
-    trials = args.trials if args.trials is not None else 500
-    tol = args.tol if args.tol is not None else 1e-9
-    space = uniform_probability_space(8)
-    per: Dict[str, Any] = {}
-    passed = True
-    for gauge in (Lp(1.0), Lp(2.0)):
-        br = leveling_constant_probe(gauge, space, trials=trials, seed=args.seed)
-        bad = br.value > 1.0 + tol
-        per[gauge.label()] = {"constant": br.value, "violated": bad}
-        if bad:
-            per[gauge.label()]["witness"] = _witness_payload(br.witness)
-            passed = False
-    info = leveling_constant_probe(Lp(0.5), space, trials=trials, seed=args.seed)
-    per[Lp(0.5).label()] = {"constant": info.value, "violated": False, "judged": False}
-    return passed, {"gauges": per, "trials": trials, "tolerance": tol}
-
-
-def _suite_tensor_oracle(args: argparse.Namespace) -> Tuple[bool, Dict[str, Any]]:
-    trials = args.trials if args.trials is not None else 20
-    budget = args.budget if args.budget is not None else 4000
-    rng = np.random.default_rng(args.seed)
-    lam = Lp(1.0)
-    worst_short = 0.0   # est below the exact value (soundness breach)
-    worst_excess = 0.0  # est above the exact value (missed optimum), relative
-    witness = None
-    for _ in range(trials):
-        n = int(rng.integers(2, 4))
-        d = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 5))
-        target = lq_space(d, 1.0) if rng.integers(2) == 0 else lq_space(d, 2.0)
-        space = MeasureSpace(rng.uniform(0.2, 1.5, size=n))
-        rep = TensorRep(
-            xs=rng.standard_normal((k, d)),
-            fs=rng.standard_normal((k, n)),
-            target=target,
-            lam=lam,
-        )
-        est = tensor_norm_estimate(rep, space, budget=budget, seed=args.seed)
-        exact = float(np.sum(space.weights * target.norms(j_map(rep, space).vectors)))
-        short = exact - est.value
-        excess = (est.value - exact) / max(exact, 1e-300)
-        worst_short = max(worst_short, short)
-        worst_excess = max(worst_excess, excess)
-        if short > 1e-9 or excess > 1e-3:
-            witness = rep
-    passed = worst_short <= 1e-9 and worst_excess <= 1e-3
-    payload: Dict[str, Any] = {
-        "worst_undershoot": worst_short,
-        "worst_relative_excess": worst_excess,
-        "soundness_threshold": 1e-9,
-        "excess_threshold": 1e-3,
-        "trials": trials,
-        "budget": budget,
-    }
-    if not passed and witness is not None:
-        payload["witness"] = _witness_payload(witness)
-    return passed, payload
-
-
-def _suite_amenability(args: argparse.Namespace) -> Tuple[bool, Dict[str, Any]]:
-    trials = args.trials if args.trials is not None else 200
-    tol = args.tol if args.tol is not None else 1e-9
-    rng = np.random.default_rng(args.seed)
-    lam = Lp(1.0)
-    worst_i = 0.0
-    worst_termwise = 0.0
-    passed = True
-    witness = None
-    for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 5))
-        target = lq_space(d, 1.0)
-        space = MeasureSpace(rng.uniform(0.2, 1.5, size=n))
-        xs = rng.standard_normal((k, d))
-        fs = rng.standard_normal((k, n))
-        rep1 = TensorRep(xs=xs, fs=fs, target=target, lam=lam)
-        # same J up to rounding: permute terms, split the first term
-        # 0.7 / 0.3, and pad with a term whose field is identically zero
-        perm = rng.permutation(k)
-        xs2 = np.vstack([xs[perm], xs[0:1], rng.standard_normal((1, d))])
-        fs2 = np.vstack([fs[perm], 0.3 * fs[0:1], np.zeros((1, n))])
-        fs2[int(np.argmax(perm == 0))] = 0.7 * fs[0]
-        rep2 = TensorRep(xs=xs2, fs=fs2, target=target, lam=lam)
-        check = representation_independence_check(rep1, rep2, space, tol=tol)
-        scale = max(1.0, float(np.max(np.abs(fs))) * float(np.max(np.abs(xs))))
-        dterm = float(
-            target.norm(i_map(rep1, space) - i_map_termwise(rep1, space))
-        )
-        worst_i = max(worst_i, check.i_discrepancy)
-        worst_termwise = max(worst_termwise, dterm / scale)
-        if not (check.comparable and check.passed) or dterm > 1e-12 * scale:
-            passed = False
-            witness = rep1
-    payload: Dict[str, Any] = {
-        "worst_integral_discrepancy": worst_i,
-        "worst_termwise_discrepancy": worst_termwise,
-        "tolerance": tol,
-        "trials": trials,
-    }
-    if witness is not None:
-        payload["witness"] = _witness_payload(witness)
-    return passed, payload
-
-
-def _suite_ftc(args: argparse.Namespace) -> Tuple[bool, Dict[str, Any]]:
-    cells = args.cells if args.cells is not None else 1024
-    # exact differentiation for a locally constant field
-    g = GridSpace(1, 256)
-    values = np.zeros(256)
-    values[128:] = 1.0
-    samples = [s for s in range(256) if abs((s + 0.5) / 256 - 0.5) >= 0.125]
-    scales = [h for h in default_scales(g) if h < 0.125]
-    diff = differentiation_report(g, ScalarField(values), samples, scales)
-    diff_ok = diff.max_error == 0.0
-    # weak-(1,1) ratio for a point mass
-    gw = GridSpace(1, cells)
-    point = np.zeros(cells)
-    point[cells // 2] = float(cells)
-    w = weak11_constant(gw, point)
-    weak_ok = 1.8 <= w.constant <= 2.2
-    # termwise domination of the vector maximal field
-    rng = np.random.default_rng(args.seed)
-    gd = GridSpace(1, 64)
-    worst_gap = -np.inf
-    for t in range(10):
-        k = int(rng.integers(1, 5))
-        d = int(rng.integers(1, 4))
-        target = lq_space(d, 1.0) if t % 2 == 0 else lq_space(d, 2.0)
-        rep = TensorRep(
-            xs=rng.standard_normal((k, d)),
-            fs=rng.standard_normal((k, 64)),
-            target=target,
-            lam=Lp(1.0),
-        )
-        report = series_domination_report(rep, gd)
-        worst_gap = max(worst_gap, report.max_gap)
-    dom_ok = worst_gap <= 1e-9
-    payload = {
-        "differentiation_max_error": diff.max_error,
-        "weak11_constant": w.constant,
-        "weak11_range": [1.8, 2.2],
-        "domination_max_gap": worst_gap,
-        "cells": cells,
-    }
-    return diff_ok and weak_ok and dom_ok, payload
-
-
-def _suite_counterexample(args: argparse.Namespace) -> Tuple[bool, Dict[str, Any]]:
-    per: Dict[str, Any] = {}
-    passed = True
-    for n in (4, 16, 64, 256):
-        try:
-            rep = rolewicz_counterexample(0.5, n)
-            per[str(n)] = {
-                "sup_part_norm": rep.sup_part_norm,
-                "blowup_ratio": rep.blowup_ratio,
-            }
-        except AssertionError as exc:
-            per[str(n)] = {"error": str(exc)}
-            passed = False
-    return passed, {"p": 0.5, "sizes": per}
-
-
-_SUITES: Dict[str, Callable[[argparse.Namespace], Tuple[bool, Dict[str, Any]]]] = {
-    "orlicz-concavity": _suite_orlicz_concavity,
-    "mii": _suite_mii,
-    "galb": _suite_galb,
-    "leveling": _suite_leveling,
-    "tensor-oracle": _suite_tensor_oracle,
-    "amenability": _suite_amenability,
-    "ftc": _suite_ftc,
-    "counterexample": _suite_counterexample,
-}
+def _run_check(name: str, args: argparse.Namespace) -> Tuple[bool, Dict[str, Any]]:
+    """Run one check with the flags it takes; a flag left unset keeps the check's default."""
+    check = CHECKS[name]
+    flags = {key: getattr(args, key) for key in inspect.signature(check).parameters
+             if getattr(args, key) is not None}
+    passed, details = check(**flags)
+    return passed, _payload(details)
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    passed, payload = _SUITES[args.name](args)
+    passed, details = _run_check(args.name, args)
     _emit({"command": "suite", "suite": args.name, "passed": passed,
-           "seed": args.seed, "details": payload}, args)
+           "seed": args.seed, "details": details}, args)
     return 0 if passed else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     suites: Dict[str, Any] = {}
-    all_ok = True
-    for name in sorted(_SUITES):
-        passed, payload = _SUITES[name](args)
-        suites[name] = {"passed": passed, "details": payload}
-        all_ok = all_ok and passed
+    for name in sorted(CHECKS):
+        passed, details = _run_check(name, args)
+        suites[name] = {"passed": passed, "details": details}
+    all_ok = all(sub["passed"] for sub in suites.values())
     _emit({"command": "report", "passed": all_ok, "seed": args.seed,
            "suites": suites}, args)
     return 0 if all_ok else 1
@@ -624,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gauge-a", required=True)
     sp.add_argument("--gauge-b", required=True)
     sp.add_argument("--dims", default="4x4,8x8,16x16,32x32")
-    sp.add_argument("--trials", type=int, default=200)
+    sp.add_argument("--trials", type=_positive_int, default=200)
     sp.add_argument("--bound", type=float, default=None)
     _add_common(sp)
     sp.set_defaults(func=cmd_mii)
@@ -671,18 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ftc)
 
     sp = sub.add_parser("suite", help="run one named check battery")
-    sp.add_argument("--name", required=True, choices=sorted(_SUITES))
-    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--name", required=True, choices=sorted(CHECKS))
+    sp.add_argument("--trials", type=_positive_int, default=None)
     sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_finite_float, default=None)
     sp.add_argument("--cells", type=int, default=None)
     _add_common(sp)
     sp.set_defaults(func=cmd_suite)
 
     sp = sub.add_parser("report", help="run every suite and aggregate")
-    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--trials", type=_positive_int, default=None)
     sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_finite_float, default=None)
     sp.add_argument("--cells", type=int, default=None)
     _add_common(sp)
     sp.set_defaults(func=cmd_report)

@@ -9,15 +9,19 @@ from qnlab import (
     InputError,
     Lp,
     MeasureSpace,
+    Orlicz,
     ScalarField,
     WeakL1,
+    builtin_phi,
+    checks,
+    counting_space,
     eval_gauge,
     rolewicz_counterexample,
     weak11_constant,
     GridSpace,
 )
 from qnlab.cli import build_parser, main
-from qnlab.serialize import parse_partition, parse_scalar_field
+from qnlab.serialize import dumps_json, parse_partition, parse_scalar_field
 
 REPORT_ARGS = ["report", "--trials", "8", "--budget", "300", "--cells", "256"]
 
@@ -187,11 +191,26 @@ def test_malformed_inputs_exit_two(capsys):
         # a target norm must be exact
         ["galb-estimate", "--target", '{"kind": "intersect", "g1": {"kind": "lp", "p": 1},'
          ' "g2": {"kind": "lp", "p": 2}, "dim": 2}', "--coefficients", "[1.0]"],
+        ["suite", "--name", "ftc", "--cells", "0"],
     )
     for argv in cases:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+    # an empty battery or a non-finite tolerance is refused before any check runs
+    flag_cases = (
+        ["suite", "--name", "orlicz-concavity", "--trials", "0"],
+        ["suite", "--name", "leveling", "--trials", "-1"],
+        ["report", "--trials", "0"],
+        ["mii", "--gauge-a", '{"kind": "lp", "p": 2.0}',
+         "--gauge-b", '{"kind": "lp", "p": 1.0}', "--trials", "0"],
+        ["suite", "--name", "mii", "--tol", "nan"],
+        ["report", "--tol", "inf"],
+    )
+    for argv in flag_cases:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert "error: argument --" in err, argv
 
 
 def test_partition_and_field_parsers_are_strict():
@@ -290,9 +309,66 @@ def test_single_suite_runs_green(capsys):
     payload = json.loads(out)
     assert payload["suite"] == "counterexample"
     assert payload["passed"] is True
-    assert set(payload["details"]["sizes"]) == {"4", "16", "64", "256"}
+    assert set(payload["details"]["sizes"]) == {"4", "16", "64", "256", "1024"}
 
 
 def test_suite_rejects_unknown_name(capsys):
     code, _, _ = run(capsys, ["suite", "--name", "not-a-suite"])
     assert code == 2
+
+
+def test_suite_failure_exits_one(capsys):
+    code, out, _ = run(capsys, ["suite", "--name", "ftc", "--cells", "3"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["details"]["weak11_constant"] == 1.5
+
+
+def test_report_fails_only_the_failing_suite(capsys):
+    code, out, _ = run(capsys, ["report", "--trials", "1", "--budget", "10", "--cells", "3"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert [name for name, sub in payload["suites"].items() if not sub["passed"]] == ["ftc"]
+
+
+def test_violated_concavity_witnesses_re_evaluate_to_their_constants(capsys):
+    code, out, _ = run(capsys, ["suite", "--name", "orlicz-concavity",
+                                "--trials", "5", "--tol", "-1"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    space = counting_space(6)
+    gauges = {"loglog": Orlicz(builtin_phi("loglog")),
+              "rational": Orlicz(builtin_phi("rational")),
+              "power(0.5)": Orlicz(builtin_phi("power", 0.5))}
+    assert set(payload["details"]["kernels"]) == set(gauges)
+    for label, entry in payload["details"]["kernels"].items():
+        assert entry["violated"] is True
+        parts = [np.array(part["values"]) for part in entry["witness"]]
+        assert len(parts) >= 2
+        g = gauges[label]
+        # concave ratio: sum of the parts' gauges over the gauge of their sum
+        ratio = (sum(eval_gauge(g, space, ScalarField(f)).value for f in parts)
+                 / eval_gauge(g, space, ScalarField(np.sum(parts, axis=0))).value)
+        assert ratio == pytest.approx(entry["constant"], rel=1e-12), label
+
+
+# each acceptance criterion's flags, and the parameters it passes to its check
+CRITERION_FLAGS = (
+    ("counterexample", [], {}),
+    ("orlicz-concavity", ["--trials", "1000"], dict(trials=1000, tol=1e-9, seed=0)),
+    ("leveling", ["--trials", "2000"], dict(trials=2000, tol=1e-9, seed=0)),
+    ("ftc", ["--cells", "4096", "--trials", "100", "--seed", "10001"],
+     dict(trials=100, cells=4096, seed=10001)),
+)
+
+
+@pytest.mark.parametrize("name,flags,params", CRITERION_FLAGS)
+def test_suite_reproduces_its_acceptance_criterion(capsys, name, flags, params):
+    code, out, _ = run(capsys, ["suite", "--name", name] + flags)
+    passed, details = checks.CHECKS[name](**params)
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] is passed is True
+    assert payload["details"] == json.loads(dumps_json(details))

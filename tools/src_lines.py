@@ -1,12 +1,17 @@
-"""Count the raw and code lines of each module under src/qnlab.
+"""Count the raw and code lines of Python source files.
 
 A code line is a line that holds at least one token other than a comment
 or a docstring; blank lines, comment-only lines and the lines of module,
 class and function docstrings do not count.
 
-    python3 tools/src_lines.py [package-dir]
+    python3 tools/src_lines.py [path ...]
 
-prints one row per module (raw, code, name) and a total row.
+Each path is a file or a directory, whose *.py modules are counted (not
+recursively); the default is src/qnlab.  Prints one row per file (raw,
+code, name), a total row per directory and, when more than one path is
+given, a grand total row:
+
+    python3 tools/src_lines.py src/qnlab tests/test_acceptance.py
 """
 from __future__ import annotations
 
@@ -44,13 +49,20 @@ def count(path: Path) -> tuple:
 
 
 def main(argv: list) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "qnlab"
-    total_raw = total_code = 0
-    for path in sorted(root.glob("*.py")):
-        raw, code = count(path)
-        total_raw, total_code = total_raw + raw, total_code + code
-        print(f"{raw:6d} {code:6d}  {path.name}")
-    print(f"{total_raw:6d} {total_code:6d}  total")
+    roots = [Path(a) for a in argv[1:]] or [Path(__file__).resolve().parents[1] / "src" / "qnlab"]
+    grand_raw = grand_code = 0
+    for root in roots:
+        files = sorted(root.glob("*.py")) if root.is_dir() else [root]
+        total_raw = total_code = 0
+        for path in files:
+            raw, code = count(path)
+            total_raw, total_code = total_raw + raw, total_code + code
+            print(f"{raw:6d} {code:6d}  {path.name if root.is_dir() else path}")
+        if root.is_dir():
+            print(f"{total_raw:6d} {total_code:6d}  total")
+        grand_raw, grand_code = grand_raw + total_raw, grand_code + total_code
+    if len(roots) > 1:
+        print(f"{grand_raw:6d} {grand_code:6d}  grand total")
     return 0
 
 
