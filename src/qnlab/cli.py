@@ -122,6 +122,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("galb-estimate", help="lower-estimate the galb gauge of coefficients")
     sp.add_argument("--target", required=True)
     sp.add_argument("--coefficients", required=True)
-    sp.add_argument("--budget", type=int, default=10000)
+    sp.add_argument("--budget", type=_nonnegative_int, default=10000)
     sp.add_argument("--no-analytic", action="store_true")
     _add_common(sp)
     sp.set_defaults(func=cmd_galb_estimate)
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tensor-norm", help="upper-estimate a tensor representation norm")
     sp.add_argument("--rep", required=True)
     sp.add_argument("--space", required=True)
-    sp.add_argument("--budget", type=int, default=10000)
+    sp.add_argument("--budget", type=_nonnegative_int, default=10000)
     _add_common(sp)
     sp.set_defaults(func=cmd_tensor_norm)
 
@@ -401,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--space", required=True)
     sp.add_argument("--field", required=True)
-    sp.add_argument("--budget", type=int, default=64)
+    sp.add_argument("--budget", type=_nonnegative_int, default=64)
     _add_common(sp)
     sp.set_defaults(func=cmd_envelope)
 
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gauge", required=True)
     sp.add_argument("--space", required=True)
     sp.add_argument("--field", required=True)
-    sp.add_argument("--budget", type=int, default=200)
+    sp.add_argument("--budget", type=_nonnegative_int, default=200)
     _add_common(sp)
     sp.set_defaults(func=cmd_dual)
 
@@ -425,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("suite", help="run one named check battery")
     sp.add_argument("--name", required=True, choices=sorted(CHECKS))
     sp.add_argument("--trials", type=_positive_int, default=None)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_positive_int, default=None)
     sp.add_argument("--tol", type=_finite_float, default=None)
     sp.add_argument("--cells", type=int, default=None)
     _add_common(sp)
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="run every suite and aggregate")
     sp.add_argument("--trials", type=_positive_int, default=None)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_positive_int, default=None)
     sp.add_argument("--tol", type=_finite_float, default=None)
     sp.add_argument("--cells", type=int, default=None)
     _add_common(sp)

@@ -35,7 +35,8 @@ import numpy as np
 
 from .bounds import BoundResult, Tag
 from .errors import GaugeDefinitionError, InputError
-from .measure import MeasureSpace, ScalarField, VectorField, _lp_kappa, _lp_rows, _weak_l1_rows
+from .measure import (MeasureSpace, ScalarField, VectorField, _lp_kappa, _lp_rows, _row_max,
+                      _weak_l1_rows, _wsum)
 
 # relative bracket width for the Luxemburg solve used by eval_gauge;
 # tight enough that gauge homogeneity survives at 1e-12 relative
@@ -126,15 +127,22 @@ def _power_eval(p: float):
     return ev
 
 
+# the builtin evaluators compute in one new buffer: the operations of
+# t * log(e + 1/max(t, 2^-1022)) and t / (1 + t), in that order
 def _loglog_eval(t: np.ndarray) -> np.ndarray:
     # for t >= 0: 1/t is taken of t >= 2^-1022 only, so a subnormal t gets a
     # finite value, and t = 0 gets 0 * log(e + 2^1022) = 0
-    return t * np.log(np.e + 1.0 / np.maximum(t, 2.0 ** -1022))
+    out = np.maximum(t, 2.0 ** -1022, out=np.empty(t.shape))
+    np.divide(1.0, out, out)
+    np.add(np.e, out, out)
+    np.log(out, out)
+    return np.multiply(t, out, out)
 
 
 def _rational_eval(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    return t / (1.0 + t)
+    out = np.add(1.0, t, out=np.empty(t.shape))
+    return np.divide(t, out, out)
 
 
 @lru_cache(maxsize=None)
@@ -206,40 +214,46 @@ def _lux_rows(
     never more than 63.  A row stops when hi/lo <= 1 + tol, or when the
     steps run out (only for tol near the float resolution), and gets
     scale * sqrt(lo * hi).  Its value depends only on the row, never on the
-    rows batched with it.
+    rows batched with it: the row max comes from `measure._row_max` and each
+    level sum from `measure._wsum`, one loop per row, whose error is at most
+    (n - 1) u S (u = 2^-53) on top of phi's own.
     """
     out = np.zeros(rows.shape[0])
-    scale = rows.max(axis=1)
+    scale = _row_max(rows)
     act = np.flatnonzero(scale > 0)
     if act.size == 0:
         return out
     a = rows[act] / scale[act, None]
+    per = max(1, _LUX_CHUNK // a.shape[1])
 
     # a level sum S becomes y = ln max(S, 1e-300): the tests `<= 0` below read
     # a NaN sum as above 1, y is never -inf, and the secant, written from the
     # hi end, turns an infinite y at lo into a step to hi rather than a NaN
     def level(q: np.ndarray) -> np.ndarray:
-        return np.log(np.maximum((weights * phi(q)).sum(axis=-1), 1e-300))
+        return np.log(np.maximum(_wsum(phi(q), weights), 1e-300))
 
-    def price(pts: np.ndarray) -> None:
-        # lev at the (row, point) pairs of a nonempty mask, floor(2^16 / n) per phi call
-        per = max(1, _LUX_CHUNK // a.shape[1])
-        for r, j in zip(*(np.split(v, range(per, v.size, per)) for v in np.nonzero(pts))):
-            lev[r, j] = level(a[r] / np.exp2(_LUX_X[j, None]))
+    def price(q: np.ndarray) -> np.ndarray:
+        # level over a (k, n) stack of scaled rows, floor(2^16 / n) of them per phi call
+        if len(q) <= per:
+            return level(q)
+        return np.concatenate([level(q[s:s + per]) for s in range(0, len(q), per)])
 
-    one = a.size * _LUX_X.size <= _LUX_CHUNK
-    with np.errstate(over="ignore"):
-        if one:
-            lev = level(a[:, None, :] / np.exp2(_LUX_X)[:, None])
-        else:
-            lev = np.full((a.shape[0], _LUX_X.size), np.nan)
-            price(np.broadcast_to(_LUX_COARSE, lev.shape))
+    one = a.shape[0] * _LUX_X.size <= per
+    cols = slice(None) if one else _LUX_COARSE
+    lev = np.full((a.shape[0], _LUX_X.size), np.nan)
+    # overflow in phi or in a / t reads as a level sum of inf, and q = y / yp
+    # below may divide by a last y of 0 (S = 1) or take inf / inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = _LUX_X[cols]
+        lev[:, cols] = price((a[:, None, :] / np.exp2(x)[:, None]).reshape(-1, a.shape[1])
+                             ).reshape(-1, x.size)
         # g counts the coarse points read above 1 before the first at or below
         # it; the points below the g-th one are not read
         g = np.logical_and.accumulate(~(lev[:, _LUX_COARSE] <= 0.0), axis=1).sum(axis=1)
         lev[_LUX_GROUP < g[:, None]] = np.nan
         if not one:
-            price((_LUX_GROUP == g[:, None]) & ~_LUX_COARSE)
+            r, j = np.nonzero((_LUX_GROUP == g[:, None]) & ~_LUX_COARSE)
+            lev[r, j] = price(a[r] / np.exp2(_LUX_X[j, None]))
         k = np.argmax(lev <= 0.0, axis=1)  # the first point read with S <= 1
         if not np.all(lev[np.arange(k.size), k] <= 0.0):
             raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
@@ -275,8 +289,7 @@ def _lux_rows(
             # the end the last one did; the end kept then is scaled by m = 1 - q,
             # or by 1/2 where that is not positive or q is NaN; q < 0 (the
             # other end) gives m = 1, as does q = 0 (the first step: yp = inf)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = y / yp
+            q = y / yp
             m = np.where(q < 1.0, np.fmin(1.0 - q, 1.0), 0.5)
             down = y <= 0.0
             tl, yl, yp = np.where(down, tl, t), np.where(down, m * yl, y), y
@@ -439,7 +452,7 @@ class Convexified(Gauge):
     # g(|f|^r)^(1/r) = m * g((|f|/m)^r)^(1/r) for any m > 0 by homogeneity;
     # m = max |f| (1 for a zero field) keeps (|f|/m)^r within [0, 1]
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
-        m = rows.max(axis=1)
+        m = _row_max(rows)
         m[m == 0] = 1.0
         scaled = (rows / m[:, None]) ** self.r
         return m * self.base._value_rows(space, scaled) ** (1.0 / self.r)

@@ -10,6 +10,8 @@ downstream depends on the choice.
 As the lowest module it also holds the row kernels `_lp_rows` (L_p/l_q) and
 `_weak_l1_rows` shared by gauges, targets and probes: entries within 1e+-300
 are evaluated to about 1e-12 relative, and a value beyond the float range is inf.
+The row reductions under them, `_wsum` and `_row_max`, also serve the
+Luxemburg solve.
 """
 from __future__ import annotations
 
@@ -31,9 +33,35 @@ def _wsum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_j w_j a_j for each row a, by one loop per row whatever the batch.
 
     So a row's sum does not depend on the rows priced with it; a BLAS
-    matrix-vector product sums a lone row and a batched row apart.
+    matrix-vector product sums a lone row and a batched row apart.  For
+    nonnegative terms the loop's rounding error is at most (n - 1) u S,
+    u = 2^-53 and S the exact sum.
     """
     return np.einsum("ij,j->i", np.ascontiguousarray(rows), weights)
+
+
+def _narrow(m: int, n: int) -> bool:
+    """True for a tall, narrow (m, n) batch, whose reductions go column by column."""
+    return 0 < n <= 16 and m >= 16 * n
+
+
+def _row_max(rows: np.ndarray) -> np.ndarray:
+    """The maximum of each row of an (m, n) array, n >= 1.
+
+    numpy reduces a short last axis one row at a time, so a tall, narrow
+    batch (n <= 16 and m >= 16 n) folds its columns with np.maximum instead;
+    other batches reduce by row with initial=-inf, which on many rows takes
+    about half the time of a plain max(axis=1).  Measured on 2 cores against
+    that row path, the fold is 28x faster at 40000x3, and takes 1.3x the
+    row path's time at 64x8, 0.9x at 128x8 and 1.1x at 256x16.  Max is
+    exact, so both paths give the same bits.
+    """
+    if not _narrow(*rows.shape):
+        return rows.max(axis=1, initial=-np.inf)
+    out = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        np.maximum(out, rows[:, j], out=out)
+    return out
 
 
 def _lp_rows(rows: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
@@ -52,7 +80,7 @@ def _lp_rows(rows: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
     if sums.size and not (_SUM_MIN <= sums.min() and sums.max() < np.inf):
         redo = ~((sums >= _SUM_MIN) & (sums < np.inf))
         a = rows[redo]
-        m = a.max(axis=1)
+        m = _row_max(a)
         out[redo] = m * _wsum((a / np.where(m > 0, m, 1.0)[:, None]) ** p, weights) ** (1.0 / p)
     return out
 
@@ -60,13 +88,23 @@ def _lp_rows(rows: np.ndarray, p: float, weights: np.ndarray) -> np.ndarray:
 def _weak_l1_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """max_k v_k * W_k for each row of a nonnegative (m, n) array (0 when n = 0):
     v is the row sorted decreasingly, W_k the mass of its k largest entries.
-    Equal weights need only a sort; unequal ones an argsort to carry them."""
+    Equal weights need only a sort; unequal ones an argsort to carry them.
+    A tall, narrow batch (see `_row_max`) sums W column by column, the same
+    additions in the same order as a row-wise cumsum, and takes the maximum
+    by the column fold of `_row_max`, so every path gives the same bits."""
+    m, n = rows.shape
+    if n == 0:
+        return np.zeros(m)
     if (weights == weights[:1]).all():
-        v = np.sort(rows, axis=1)[:, ::-1]
-        return np.max(v * np.cumsum(weights), axis=1, initial=0.0)
+        return _row_max(np.sort(rows, axis=1)[:, ::-1] * np.cumsum(weights))
     order = np.argsort(-rows, axis=1, kind="stable")
-    v = np.take_along_axis(rows, order, axis=1)
-    return np.max(v * np.cumsum(weights[order], axis=1), axis=1)
+    W = weights[order]
+    if _narrow(m, n):
+        for k in range(1, n):
+            W[:, k] += W[:, k - 1]
+    else:
+        W = np.cumsum(W, axis=1)
+    return _row_max(np.take_along_axis(rows, order, axis=1) * W)
 
 
 def _lp_kappa(p: float) -> float:

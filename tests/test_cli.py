@@ -206,6 +206,18 @@ def test_malformed_inputs_exit_two(capsys):
          "--gauge-b", '{"kind": "lp", "p": 1.0}', "--trials", "0"],
         ["suite", "--name", "mii", "--tol", "nan"],
         ["report", "--tol", "inf"],
+        # a search budget: positive for the batteries, non-negative where 0
+        # means the closed form alone
+        ["suite", "--name", "tensor-oracle", "--budget", "0"],
+        ["suite", "--name", "galb", "--budget", "-5", "--trials", "2"],
+        ["report", "--budget", "0"],
+        ["galb-estimate", "--target", '{"kind": "lq", "dim": 2, "q": 2}',
+         "--coefficients", "[1.0]", "--budget", "-1"],
+        ["tensor-norm", "--rep", "{}", "--space", "{}", "--budget", "-1"],
+        ["envelope", "--gauge", '{"kind": "lp", "p": 1.0}', "--p", "0.5", "--space",
+         '{"weights": [1.0]}', "--field", '{"values": [1.0]}', "--budget", "-2"],
+        ["dual", "--gauge", '{"kind": "lp", "p": 1.0}', "--space", '{"weights": [1.0]}',
+         "--field", '{"values": [1.0]}', "--budget", "x"],
     )
     for argv in flag_cases:
         code, out, err = run(capsys, argv)

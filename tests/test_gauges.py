@@ -150,7 +150,15 @@ def test_luxemburg_batch_values_equal_single_row_values_bitwise():
     big[:100] *= 1e300
     big[100:200] *= 1e-300
     big[200:210] = 0.0
+    # a tall, narrow batch (60 rows of 3 atoms, at least 16 per atom: its row
+    # maxima come from column folds) and a wide one (24 atoms: row by row)
+    tall = np.exp(rng.uniform(-3, 3, size=(60, 3))) * 10.0 ** rng.integers(-300, 300, (60, 1))
+    tall[::6] = 0.0
+    wide = np.exp(rng.uniform(-3, 3, size=(12, 24))) * 10.0 ** rng.integers(-300, 300, (12, 1))
+    wide[rng.random(wide.shape) < 0.3] = 0.0
     cases = ((MeasureSpace(np.array([0.7, 1.3, 1.0, 2.1, 0.4])), small),
+             (MeasureSpace(np.array([0.5, 1.0, 2.0])), tall),
+             (MeasureSpace(np.linspace(0.5, 2.0, 24)), wide),
              (MeasureSpace(np.array([1e-9, 1e-3, 1.0, 1e3, 1e12])), big))
     # t^(1/2) without its exponent p, so the gauge is solved instead of taking L_0.5
     sqrt = OrliczFunction(name="sqrt", evaluator=builtin_phi("power", 0.5).evaluator)
@@ -160,7 +168,7 @@ def test_luxemburg_batch_values_equal_single_row_values_bitwise():
             batch = gauge_values_rows(g, s, rows)
             single = np.array([gauge_values_rows(g, s, r[None, :])[0] for r in rows])
             assert np.array_equal(batch, single), (phi.name, len(rows))
-        x = np.log2(batch[batch > 0] / big.max(axis=1)[batch > 0])
+        x = np.log2(batch[batch > 0] / big.max(axis=1)[batch > 0])  # the last case, big
         assert np.all(np.histogram(x, bins=[-60, -12, 0, 12, 200])[0] > 0), phi.name
     assert gauge_values_rows(Orlicz(builtin_phi("rational")), *cases[0])[0] == 0.0
 

@@ -30,6 +30,8 @@ from qnlab import (
     p_envelope,
     weak_l1_space,
 )
+from qnlab.gauges import _loglog_eval, _rational_eval
+from qnlab.measure import _row_max, _weak_l1_rows
 from oracles import lp_oracle, lux_oracle, weak_l1_oracle
 
 EXTREME_ROWS = ([1e200, 1e200, 0.0], [1e-300, 1e-310, 0.0])
@@ -210,3 +212,76 @@ def test_row_value_does_not_depend_on_its_batch(g, batch):
     assert np.array_equal(whole, alone)
     assert np.array_equal(gauge_values_rows(g, space, np.asfortranarray(vs)), whole)
     assert np.array_equal(gauge_values_rows(g, space, vs[1:]), whole[1:])
+
+
+# ---------------------------------------------------------------------------
+# tall, narrow batches reduce column by column, to the same bits
+# ---------------------------------------------------------------------------
+
+# shapes on each side of the column-fold rule (n <= 16 and m >= 16 n)
+FOLD_SHAPES = ((1, 8), (7, 3), (64, 8), (65, 8), (127, 8), (128, 8), (256, 16),
+               (16000, 8), (40000, 3), (4000, 64))
+
+
+def _fold_rows(m, n, seed):
+    """Rows over 1e+-300 with zero rows, zero entries, tied rows and 1e+-300 itself."""
+    rng = np.random.default_rng(seed)
+    rows = 10.0 ** rng.uniform(-300.0, 300.0, size=(m, n))
+    rows[rng.random((m, n)) < 0.2] = 0.0
+    rows[rng.random(m) < 0.1] = rows[0]
+    rows[::5] = 1.0
+    rows[::7] = 0.0
+    rows.flat[:2] = (1e300, 1e-300)
+    return rows
+
+
+def _old_weak_l1_rows(rows, weights):
+    """The sort/cumsum/max formula the weak-L1 kernel must reproduce bitwise."""
+    if (weights == weights[:1]).all():
+        v = np.sort(rows, axis=1)[:, ::-1]
+        return np.max(v * np.cumsum(weights), axis=1, initial=0.0)
+    order = np.argsort(-rows, axis=1, kind="stable")
+    v = np.take_along_axis(rows, order, axis=1)
+    return np.max(v * np.cumsum(weights[order], axis=1), axis=1)
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES)
+def test_row_max_equals_numpy_row_max_bitwise(shape):
+    rows = _fold_rows(*shape, seed=shape[0] * 100 + shape[1])
+    for r in (rows, -rows, np.asfortranarray(rows)):
+        assert np.array_equal(_row_max(r), r.max(axis=1))
+
+
+@pytest.mark.parametrize("shape", FOLD_SHAPES + ((5, 0), (200, 0)))
+def test_weak_l1_rows_equal_the_sort_cumsum_formula_bitwise(shape):
+    m, n = shape
+    rows = _fold_rows(m, n, seed=m * 100 + n + 1)
+    rng = np.random.default_rng(n)
+    for w in (np.ones(n), np.full(n, 1.0 / max(n, 1)), rng.uniform(0.5, 2.0, size=n),
+              10.0 ** rng.uniform(-3.0, 3.0, size=n)):
+        got = _weak_l1_rows(rows, w)
+        assert got.shape == (m,)
+        assert np.array_equal(got, _old_weak_l1_rows(rows, w)), w[:2]
+
+
+def _old_loglog_eval(t):
+    return t * np.log(np.e + 1.0 / np.maximum(t, 2.0 ** -1022))
+
+
+def _old_rational_eval(t):
+    return t / (1.0 + t)
+
+
+@pytest.mark.parametrize("shape", ((), (1,), (7,), (3, 5), (2, 3, 4), (40, 12, 8)))
+def test_builtin_evaluators_equal_the_allocating_form_and_leave_their_input(shape):
+    rng = np.random.default_rng(len(shape))
+    t = np.asarray(10.0 ** rng.uniform(-320.0, 300.0, size=shape))
+    if t.size > 3:
+        t.flat[:4] = (0.0, 5e-324, 1e300, 1.0)
+    for new, old in ((_loglog_eval, _old_loglog_eval), (_rational_eval, _old_rational_eval)):
+        for x in (t, t.T):
+            before = x.copy()
+            got = new(x)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            assert np.array_equal(got, old(x))
+            assert np.array_equal(x, before)

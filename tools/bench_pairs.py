@@ -18,7 +18,10 @@ the seed after the last pair.
 Writes BENCH_<pr>.json at the repository root: per workload, every run
 of each side, the median and quartiles of each end-to-end metric on each
 side, the relative change of the medians, in how many pairs the change side
-was better, the median per-op fastest times of each side with the pairs in
+was better, whether a claimed gain on that metric would hold
+(`claim_rule_met`: better in at least 9 of 10 pairs, and the medians apart
+by more than the parent's interquartile range, in the better direction),
+the median per-op fastest times of each side with the pairs in
 which the op was slower on the change side, and the traced per-layer
 metrics; then machine information and the `tools/src_lines.py` totals of
 both trees.
@@ -83,12 +86,16 @@ def summarize(parent: list, change: list, lower_is_better: set) -> dict:
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
         mp, mc = statistics.median(p), statistics.median(c)
-        better = sum((b < a) if name in lower_is_better else (b > a) for a, b in zip(p, c))
+        lower = name in lower_is_better
+        better = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        q1, q3 = quartiles(p)
         metrics[name] = {"unit": parent[0]["metrics"][name]["unit"],
                          "parent_median": mp, "change_median": mc,
-                         "parent_quartiles": quartiles(p), "change_quartiles": quartiles(c),
+                         "parent_quartiles": (q1, q3), "change_quartiles": quartiles(c),
                          "relative_change": (mc - mp) / mp if mp else None,
-                         "change_better_pairs": better, "pairs": len(p)}
+                         "change_better_pairs": better, "pairs": len(p),
+                         "claim_rule_met": (better >= 0.9 * len(p)
+                                            and (mp - mc if lower else mc - mp) > q3 - q1)}
     ops = {}
     for name in parent[0]["ops_best_s"]:
         p = [r["ops_best_s"][name] for r in parent]
@@ -165,7 +172,8 @@ def main(argv: list) -> int:
     for w, entry in result["workloads"].items():
         for name, m in entry["metrics"].items():
             sys.stderr.write(f"{w} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "
-                             f"(better in {m['change_better_pairs']}/{m['pairs']})\n")
+                             f"(better in {m['change_better_pairs']}/{m['pairs']}, "
+                             f"claim rule met: {m['claim_rule_met']})\n")
     return 0
 
 
