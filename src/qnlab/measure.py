@@ -41,20 +41,28 @@ def _wsum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _narrow(m: int, n: int) -> bool:
-    """True for a tall, narrow (m, n) batch, whose reductions go column by column."""
-    return 0 < n <= 16 and m >= 16 * n
+    """True for a tall, narrow (m, n) batch, whose reductions go column by column:
+    n <= 16 and m >= 16 n, and at n = 16 a batch of at most 1.5 MiB (see `_row_max`)."""
+    return 0 < n <= 16 and m >= 16 * n and (n < 16 or 8 * m * n <= 1.5 * 2**20)
 
 
 def _row_max(rows: np.ndarray) -> np.ndarray:
     """The maximum of each row of an (m, n) array, n >= 1.
 
     numpy reduces a short last axis one row at a time, so a tall, narrow
-    batch (n <= 16 and m >= 16 n) folds its columns with np.maximum instead;
-    other batches reduce by row with initial=-inf, which on many rows takes
-    about half the time of a plain max(axis=1).  Measured on 2 cores against
-    that row path, the fold is 28x faster at 40000x3, and takes 1.3x the
-    row path's time at 64x8, 0.9x at 128x8 and 1.1x at 256x16.  Max is
-    exact, so both paths give the same bits.
+    batch (`_narrow`: n <= 16 and m >= 16 n) folds its columns with
+    np.maximum instead; other batches reduce by row with initial=-inf, which
+    on many rows takes about half the time of a plain max(axis=1).  Each
+    column pass of the fold re-reads every cache line of the batch, which is
+    cheap while the batch stays in cache.  Past it the fold costs about
+    2.4 ns per entry, below numpy's scalar row loop (about 3 ns for n < 16)
+    but above its vector loop for rows of 16 to 24 (1.1 to 1.9 ns), so a
+    16-wide batch folds only up to 1.5 MiB.  Measured on 2 cores (fold time
+    over row time): 1.3x at 64x8, 0.9x at 128x8, 0.04x at 16000x4, 0.03x at
+    40000x3, 0.18x at 16000x8, 0.14x at 100000x4, 0.75x at 100000x8, 0.79x
+    at 100000x15; at n = 16, 0.43x at 6012x16, 0.6x at 12288x16 (1.5 MiB),
+    0.9x at 14000x16, 1.2x at 16000x16 and 2.4x at 40000x16.  Max is exact,
+    so both paths give the same bits.
     """
     if not _narrow(*rows.shape):
         return rows.max(axis=1, initial=-np.inf)

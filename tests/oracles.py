@@ -38,6 +38,30 @@ def lp_oracle(values: Sequence[float], weights: Sequence[float], p: float) -> fl
     return m * math.fsum(float(w) * (x / m) ** p for w, x in zip(weights, a)) ** (1.0 / p)
 
 
+def orlicz_kernel_check(evaluator, claimed_concave: bool = True):
+    """The kernel check as a full-matrix reference: the message of the first
+    check that phi fails on the 1000-point Orlicz grid g, or None.  Claimed
+    concavity is tested on all 1000 x 1000 pairs (i, j) at once, mirror
+    images and i = j included."""
+    z = float(evaluator(np.array(0.0)))
+    if not (abs(z) <= 1e-15):
+        return f"phi(0) must be 0, got {z!r}"
+    g = np.logspace(-9.0, 3.0, 1000)
+    vals = evaluator(g)
+    if np.any(~np.isfinite(vals)) or np.any(vals < -1e-15):
+        return "phi must be finite and nonnegative on (0, 1e3]"
+    if np.any(np.diff(vals) < -1e-12 * np.maximum(1.0, vals[:-1])):
+        return "phi must be nondecreasing"
+    if claimed_concave:
+        mids = 0.5 * (g[:, None] + g[None, :])
+        lhs = evaluator(mids)
+        rhs = 0.5 * (vals[:, None] + vals[None, :])
+        slack = 1e-10 * np.maximum(1.0, np.abs(rhs))
+        if np.any(lhs < rhs - slack):
+            return "claimed concave but midpoint check fails"
+    return None
+
+
 def lux_oracle(
     phi: OrliczFunction, values: Sequence[float], weights: Sequence[float]
 ) -> float:

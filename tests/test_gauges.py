@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from qnlab import (
     uniform_probability_space,
     weak_l1_value,
 )
-from oracles import dual_oracle, intersect_oracle, weak_l1_oracle
+from qnlab.gauges import _ORLICZ_GRID, _loglog_eval, _power_eval, _rational_eval
+from oracles import dual_oracle, intersect_oracle, orlicz_kernel_check, weak_l1_oracle
 from test_luxemburg import _nan_where
 
 
@@ -577,6 +579,78 @@ def test_orlicz_function_rejects_bad_kernels():
         builtin_phi("nope")
     with pytest.raises(InputError):
         builtin_phi("power")
+
+
+def _dip_at(i, j):
+    """t, less 1e-6 max(1, t) at the midpoint of grid points i and j alone."""
+    mid = 0.5 * (_ORLICZ_GRID[i] + _ORLICZ_GRID[j])
+    return lambda t: np.where(t == mid, t - 1e-6 * max(1.0, mid), t)
+
+
+# grid pairs {i, j}: far apart, inside one 64-row block, straddling a block
+# edge, in the last grid rows
+DIP_PAIRS = ((3, 990), (0, 999), (10, 20), (63, 64), (64, 127), (999, 970), (998, 999))
+
+# (name, evaluator, accepted as concave): builtins, other concave kernels,
+# non-concave ones, and kernels whose only violated pair is one of DIP_PAIRS
+KERNEL_BATTERY = (
+    [("loglog", _loglog_eval, True), ("rational", _rational_eval, True)]
+    + [(f"power({p})", _power_eval(p), True) for p in (0.1, 0.25, 0.5, 0.75, 1.0)]
+    + [("sqrt", np.sqrt, True), ("log1p", np.log1p, True), ("tanh", np.tanh, True),
+       ("min(t, 1)", lambda t: np.minimum(t, 1.0), True),
+       ("t", lambda t: 1.0 * np.asarray(t), True),
+       ("t^2", lambda t: np.asarray(t) ** 2, False),
+       ("t^1.0000001", lambda t: np.asarray(t) ** 1.0000001, False),
+       ("kink at 10", lambda t: np.where(t > 10.0, 2.0 * t - 10.0, t), False)]
+    + [(f"dip at {i}, {j}", _dip_at(i, j), False) for i, j in DIP_PAIRS]
+)
+
+
+def _kernel_check_message(evaluator):
+    try:
+        OrliczFunction(name="battery", evaluator=evaluator, claimed_concave=True)
+    except GaugeDefinitionError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("name, evaluator, concave", KERNEL_BATTERY,
+                         ids=[k[0] for k in KERNEL_BATTERY])
+def test_kernel_check_decides_as_the_full_matrix_reference(name, evaluator, concave):
+    got = _kernel_check_message(evaluator)
+    assert got == orlicz_kernel_check(evaluator)
+    assert got == (None if concave else "claimed concave but midpoint check fails")
+
+
+@pytest.mark.parametrize("i, j", DIP_PAIRS)
+def test_dipped_kernels_violate_one_pair_only(i, j):
+    g = _ORLICZ_GRID
+    mid = 0.5 * (g[i] + g[j])
+    assert not np.isin(mid, g)
+    assert np.count_nonzero(0.5 * (g[:, None] + g[None, :]) == mid) == 2
+
+
+def test_kernel_check_evaluates_phi_at_about_half_the_grid_pairs():
+    points = []
+
+    def counted(t):
+        points.append(np.size(t))
+        return _loglog_eval(t)
+
+    OrliczFunction(name="counted", evaluator=counted)
+    # phi(0), the grid, and the pairs i < j of the grid at least; the full
+    # matrix took 1 + 1000 + 1000^2
+    assert 1 + 1000 + 1000 * 999 // 2 <= sum(points) <= 540_000
+
+
+def test_kernel_check_traced_memory_peak_is_under_8_mb():
+    tracemalloc.start()
+    try:
+        OrliczFunction(name="traced", evaluator=_loglog_eval)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_quasinorm_condition_reports():

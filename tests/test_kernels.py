@@ -218,9 +218,11 @@ def test_row_value_does_not_depend_on_its_batch(g, batch):
 # tall, narrow batches reduce column by column, to the same bits
 # ---------------------------------------------------------------------------
 
-# shapes on each side of the column-fold rule (n <= 16 and m >= 16 n)
+# shapes on each side of the column-fold rule (n <= 16 and m >= 16 n, and at
+# n = 16 at most 1.5 MiB, i.e. 12288 rows)
 FOLD_SHAPES = ((1, 8), (7, 3), (64, 8), (65, 8), (127, 8), (128, 8), (256, 16),
-               (16000, 8), (40000, 3), (4000, 64))
+               (16000, 8), (40000, 3), (4000, 64), (12288, 16), (12289, 16), (40000, 16),
+               (100000, 4), (100000, 8))
 
 
 def _fold_rows(m, n, seed):

@@ -39,3 +39,26 @@ def test_importing_qnlab_loads_no_scipy_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_eval_on_an_orlicz_gauge_adds_under_16_mb_of_peak_rss():
+    # a fresh interpreter, whose kernel check of loglog runs inside the eval.
+    # Its peak RSS is read as VmHWM, the peak of its own address space: the
+    # ru_maxrss of a process started from this one would keep this one's peak
+    code = (
+        "import contextlib, io, qnlab.cli\n"
+        "def peak_kib():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(l.split()[1]) for l in f if l.startswith('VmHWM:'))\n"
+        "before = peak_kib()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = qnlab.cli.main(['eval', '--gauge', '{\"kind\": \"orlicz\", \"phi\": \"loglog\"}',\n"
+        "                           '--space', '{\"weights\": [1.0, 2.0, 0.5]}',\n"
+        "                           '--field', '{\"values\": [1.0, 0.25, 3.0]}'])\n"
+        "print(code, peak_kib() - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    code, grown_kib = map(int, out.stdout.split())
+    assert code == 0
+    assert grown_kib < 16 * 1024

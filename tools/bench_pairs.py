@@ -21,10 +21,13 @@ side, the relative change of the medians, in how many pairs the change side
 was better, whether a claimed gain on that metric would hold
 (`claim_rule_met`: better in at least 9 of 10 pairs, and the medians apart
 by more than the parent's interquartile range, in the better direction),
-the median per-op fastest times of each side with the pairs in
-which the op was slower on the change side, and the traced per-layer
-metrics; then machine information and the `tools/src_lines.py` totals of
-both trees.
+whether it regressed by the mirror rule (`regression_rule_met`: worse in at
+least 9 of 10 pairs, and the medians apart by more than the parent's
+interquartile range, in the worse direction), the median per-op fastest
+times of each side with the pairs in which the op was slower on the change
+side (at all, and by more than 3 %), and the traced per-layer metrics; then
+machine information and the `tools/src_lines.py` totals of both trees.
+On stderr it lists the ops more than 3 % slower in at least 8 of 10 pairs.
 """
 from __future__ import annotations
 
@@ -47,6 +50,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 import src_lines  # noqa: E402
 
 PAIRS = 10
+SLOWER = 1.03  # an op this many times its parent's time counts as slower
 TRACED_SECONDS = 15
 SEED0 = 901
 
@@ -88,21 +92,25 @@ def summarize(parent: list, change: list, lower_is_better: set) -> dict:
         mp, mc = statistics.median(p), statistics.median(c)
         lower = name in lower_is_better
         better = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
+        worse = sum((b > a) if lower else (b < a) for a, b in zip(p, c))
+        gain = mp - mc if lower else mc - mp
         q1, q3 = quartiles(p)
         metrics[name] = {"unit": parent[0]["metrics"][name]["unit"],
                          "parent_median": mp, "change_median": mc,
                          "parent_quartiles": (q1, q3), "change_quartiles": quartiles(c),
                          "relative_change": (mc - mp) / mp if mp else None,
-                         "change_better_pairs": better, "pairs": len(p),
-                         "claim_rule_met": (better >= 0.9 * len(p)
-                                            and (mp - mc if lower else mc - mp) > q3 - q1)}
+                         "change_better_pairs": better, "change_worse_pairs": worse,
+                         "pairs": len(p),
+                         "claim_rule_met": better >= 0.9 * len(p) and gain > q3 - q1,
+                         "regression_rule_met": worse >= 0.9 * len(p) and -gain > q3 - q1}
     ops = {}
     for name in parent[0]["ops_best_s"]:
         p = [r["ops_best_s"][name] for r in parent]
         c = [r["ops_best_s"][name] for r in change]
         ops[name] = {"parent_median_s": statistics.median(p),
                      "change_median_s": statistics.median(c),
-                     "change_slower_pairs": sum(b > a for a, b in zip(p, c))}
+                     "change_slower_pairs": sum(b > a for a, b in zip(p, c)),
+                     "change_slower_3pct_pairs": sum(b > SLOWER * a for a, b in zip(p, c))}
     return {"metrics": metrics, "ops": ops,
             "correct": all(r["correct"] for r in parent + change),
             "failed": {"parent": [r["failed"] for r in parent],
@@ -173,7 +181,14 @@ def main(argv: list) -> int:
         for name, m in entry["metrics"].items():
             sys.stderr.write(f"{w} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "
                              f"(better in {m['change_better_pairs']}/{m['pairs']}, "
-                             f"claim rule met: {m['claim_rule_met']})\n")
+                             f"claim rule met: {m['claim_rule_met']}, "
+                             f"regression rule met: {m['regression_rule_met']})\n")
+        for name, op in entry["ops"].items():
+            if op["change_slower_3pct_pairs"] >= 0.8 * PAIRS:
+                sys.stderr.write(f"{w} op {name} more than 3 % slower in "
+                                 f"{op['change_slower_3pct_pairs']}/{PAIRS} pairs: "
+                                 f"{op['parent_median_s'] * 1e3:.4g} -> "
+                                 f"{op['change_median_s'] * 1e3:.4g} ms\n")
     return 0
 
 
