@@ -38,7 +38,3 @@ class BoundResult:
 
     def __float__(self) -> float:
         return float(self.value)
-
-    def describe(self) -> str:
-        extra = "" if self.tol is None else f" (iterated to rel. tol {self.tol:g})"
-        return f"{self.value!r} {self.tag.value}{extra}"

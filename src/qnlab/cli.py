@@ -31,10 +31,10 @@ from .galb_tensor import (
     profile_value,
     tensor_norm_estimate,
 )
-from .gauges import dual_gauge, eval_gauge, eval_vector_gauge
+from .gauges import Gauge, dual_gauge, eval_gauge, eval_vector_gauge
 from .integration import rolewicz_counterexample
 from .maximal import GridSpace, default_scales, differentiation_report, weak11_constant
-from .measure import Partition, ScalarField, VectorField
+from .measure import MeasureSpace, Partition, ScalarField, VectorField
 from .serialize import (
     _number_array,
     dumps_csv,
@@ -80,14 +80,6 @@ def _payload(w: Any) -> Any:
     return repr(w)
 
 
-def _bound_payload(br: BoundResult) -> Dict[str, Any]:
-    out: Dict[str, Any] = {"value": float(br.value), "tag": br.tag.name.lower(),
-                           "witness": _payload(br.witness)}
-    if br.tol is not None:
-        out["tol"] = float(br.tol)
-    return out
-
-
 def _emit(payload: Any, args: argparse.Namespace) -> None:
     if args.format == "csv":
         text = dumps_csv([("key", "value")] + flatten_for_csv(payload))
@@ -98,6 +90,16 @@ def _emit(payload: Any, args: argparse.Namespace) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_bound(args: argparse.Namespace, br: BoundResult, **fields: Any) -> int:
+    """Emit one estimate: the command, its input fields, and the tagged bound."""
+    payload = {"command": args.command, **fields, "value": float(br.value),
+               "tag": br.tag.name.lower(), "witness": _payload(br.witness)}
+    if br.tol is not None:
+        payload["tol"] = float(br.tol)
+    _emit(payload, args)
+    return 0
 
 
 def _array_arg(text: str, key: str, ndim: int) -> np.ndarray:
@@ -142,13 +144,13 @@ def _dims_list(text: str) -> List[Tuple[int, int]]:
         tok = tok.strip()
         if not tok:
             continue
-        parts = tok.lower().split("x")
-        if len(parts) != 2:
-            raise InputError(f"dimension {tok!r} is not of the form MxN")
-        try:
-            dims.append((int(parts[0]), int(parts[1])))
+        try:  # a part that is not an integer, or not two parts, is a ValueError
+            m, n = (int(part) for part in tok.lower().split("x"))
         except ValueError as exc:
             raise InputError(f"dimension {tok!r} is not of the form MxN") from exc
+        if min(m, n) < 1:
+            raise InputError(f"dimension {tok!r} needs sizes of at least 1")
+        dims.append((m, n))
     if not dims:
         raise InputError("need at least one MxN dimension")
     return dims
@@ -159,9 +161,18 @@ def _dims_list(text: str) -> List[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def _gauge_space_field(
+    args: argparse.Namespace,
+) -> Tuple[Gauge, MeasureSpace, Optional[ScalarField]]:
+    """The parsed --gauge, --space and --field (None when --field is not given)."""
     gauge = parse_gauge(load_payload(args.gauge))
     space = parse_measure(load_payload(args.space))
+    field = None if args.field is None else parse_scalar_field(load_payload(args.field))
+    return gauge, space, field
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    gauge, space, field = _gauge_space_field(args)
     if args.vectors is not None:
         if args.target is None:
             raise InputError("--vectors needs a --target space")
@@ -169,12 +180,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         target = parse_target(load_payload(args.target))
         br = eval_vector_gauge(gauge, space, VectorField(vectors, target))
     else:
-        if args.field is None:
+        if field is None:
             raise InputError("eval needs --field (or --vectors with --target)")
-        br = eval_gauge(gauge, space, parse_scalar_field(load_payload(args.field)))
-    payload = {"command": "eval", "gauge": gauge.label(), **_bound_payload(br)}
-    _emit(payload, args)
-    return 0
+        br = eval_gauge(gauge, space, field)
+    return _emit_bound(args, br, gauge=gauge.label())
 
 
 def cmd_rolewicz(args: argparse.Namespace) -> int:
@@ -224,61 +233,27 @@ def cmd_galb_estimate(args: argparse.Namespace) -> int:
         seed=args.seed,
         analytic=not args.no_analytic,
     )
-    payload = {
-        "command": "galb-estimate",
-        "target": target.name,
-        "coefficients": coeffs,
-        "seed": args.seed,
-        **_bound_payload(br),
-    }
-    _emit(payload, args)
-    return 0
+    return _emit_bound(args, br, target=target.name, coefficients=coeffs, seed=args.seed)
 
 
 def cmd_tensor_norm(args: argparse.Namespace) -> int:
     rep = parse_tensor_rep(load_payload(args.rep))
     space = parse_measure(load_payload(args.space))
     br = tensor_norm_estimate(rep, space, budget=args.budget, seed=args.seed)
-    payload = {
-        "command": "tensor-norm",
-        "input_profile": profile_value(rep, space),
-        "input_terms": rep.n_terms,
-        "seed": args.seed,
-        **_bound_payload(br),
-    }
-    _emit(payload, args)
-    return 0
+    return _emit_bound(args, br, input_profile=profile_value(rep, space),
+                       input_terms=rep.n_terms, seed=args.seed)
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
-    gauge = parse_gauge(load_payload(args.gauge))
-    space = parse_measure(load_payload(args.space))
-    field = parse_scalar_field(load_payload(args.field))
+    gauge, space, field = _gauge_space_field(args)
     br = p_envelope(gauge, args.p, space, field, budget=args.budget, seed=args.seed)
-    payload = {
-        "command": "envelope",
-        "gauge": gauge.label(),
-        "p": args.p,
-        "seed": args.seed,
-        **_bound_payload(br),
-    }
-    _emit(payload, args)
-    return 0
+    return _emit_bound(args, br, gauge=gauge.label(), p=args.p, seed=args.seed)
 
 
 def cmd_dual(args: argparse.Namespace) -> int:
-    gauge = parse_gauge(load_payload(args.gauge))
-    space = parse_measure(load_payload(args.space))
-    field = parse_scalar_field(load_payload(args.field))
+    gauge, space, field = _gauge_space_field(args)
     br = dual_gauge(gauge, space, field, budget=args.budget, seed=args.seed)
-    payload = {
-        "command": "dual",
-        "gauge": gauge.label(),
-        "seed": args.seed,
-        **_bound_payload(br),
-    }
-    _emit(payload, args)
-    return 0
+    return _emit_bound(args, br, gauge=gauge.label(), seed=args.seed)
 
 
 def cmd_ftc(args: argparse.Namespace) -> int:
@@ -349,12 +324,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 # built once per process: parsing reads the parser and never changes it
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
@@ -370,13 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field")
     sp.add_argument("--vectors")
     sp.add_argument("--target")
-    _add_common(sp)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("rolewicz", help="blow-up family for sub-one exponents")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
-    _add_common(sp)
     sp.set_defaults(func=cmd_rolewicz)
 
     sp = sub.add_parser("mii", help="mixed-injection inequality sweep")
@@ -384,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gauge-b", required=True)
     sp.add_argument("--dims", default="4x4,8x8,16x16,32x32")
     sp.add_argument("--trials", type=_positive_int, default=200)
-    sp.add_argument("--bound", type=float, default=None)
-    _add_common(sp)
+    sp.add_argument("--bound", type=_finite_float, default=None)
     sp.set_defaults(func=cmd_mii)
 
     sp = sub.add_parser("galb-estimate", help="lower-estimate the galb gauge of coefficients")
@@ -393,23 +359,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coefficients", required=True)
     sp.add_argument("--budget", type=_nonnegative_int, default=10000)
     sp.add_argument("--no-analytic", action="store_true")
-    _add_common(sp)
     sp.set_defaults(func=cmd_galb_estimate)
 
     sp = sub.add_parser("tensor-norm", help="upper-estimate a tensor representation norm")
     sp.add_argument("--rep", required=True)
     sp.add_argument("--space", required=True)
     sp.add_argument("--budget", type=_nonnegative_int, default=10000)
-    _add_common(sp)
     sp.set_defaults(func=cmd_tensor_norm)
 
     sp = sub.add_parser("envelope", help="p-envelope upper estimate")
     sp.add_argument("--gauge", required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--space", required=True)
     sp.add_argument("--field", required=True)
     sp.add_argument("--budget", type=_nonnegative_int, default=64)
-    _add_common(sp)
     sp.set_defaults(func=cmd_envelope)
 
     sp = sub.add_parser("dual", help="dual-pairing lower estimate")
@@ -417,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--space", required=True)
     sp.add_argument("--field", required=True)
     sp.add_argument("--budget", type=_nonnegative_int, default=200)
-    _add_common(sp)
     sp.set_defaults(func=cmd_dual)
 
     sp = sub.add_parser("ftc", help="maximal-operator and differentiation report")
@@ -426,26 +388,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field")
     sp.add_argument("--scales", type=_float_list, default=None)
     sp.add_argument("--samples", type=_int_list, default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_ftc)
 
-    sp = sub.add_parser("suite", help="run one named check battery")
-    sp.add_argument("--name", required=True, choices=sorted(CHECKS))
-    sp.add_argument("--trials", type=_positive_int, default=None)
-    sp.add_argument("--budget", type=_positive_int, default=None)
-    sp.add_argument("--tol", type=_finite_float, default=None)
-    sp.add_argument("--cells", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_suite)
+    suite = sub.add_parser("suite", help="run one named check battery")
+    suite.add_argument("--name", required=True, choices=sorted(CHECKS))
+    suite.set_defaults(func=cmd_suite)
+    report = sub.add_parser("report", help="run every suite and aggregate")
+    report.set_defaults(func=cmd_report)
+    for sp in (suite, report):  # the flags a check takes
+        sp.add_argument("--trials", type=_positive_int, default=None)
+        sp.add_argument("--budget", type=_positive_int, default=None)
+        sp.add_argument("--tol", type=_finite_float, default=None)
+        sp.add_argument("--cells", type=int, default=None)
 
-    sp = sub.add_parser("report", help="run every suite and aggregate")
-    sp.add_argument("--trials", type=_positive_int, default=None)
-    sp.add_argument("--budget", type=_positive_int, default=None)
-    sp.add_argument("--tol", type=_finite_float, default=None)
-    sp.add_argument("--cells", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_report)
-
+    for sp in sub.choices.values():  # the flags every command takes
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--out", type=str, default=None)
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 

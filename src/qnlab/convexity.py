@@ -31,6 +31,7 @@ from .measure import (
     MeasureSpace,
     Partition,
     ScalarField,
+    _check_same_length,
     _lp_rows,
     conditional_expectation,
     counting_space,
@@ -105,8 +106,7 @@ def p_envelope(
     """
     if p <= 0:
         raise InputError("envelope exponent p must be > 0")
-    if len(f) != len(space):
-        raise InputError("field and space atom counts differ")
+    _check_same_length(space, f)
     vals = np.abs(f.values)
     n = vals.size
 
@@ -171,6 +171,9 @@ def p_envelope(
 # lattice convexity / concavity probes
 # ---------------------------------------------------------------------------
 
+_MAX_PARTS = 5  # the most fields in one family of lattice_constant_probe
+
+
 def lattice_constant_probe(
     g: Gauge,
     mode: str,
@@ -178,9 +181,9 @@ def lattice_constant_probe(
     space: MeasureSpace,
     trials: int = 1000,
     seed: int = 0,
-    max_parts: int = 5,
 ) -> BoundResult:
-    """Largest observed lattice ratio over seeded families: a lower bound.
+    """Largest observed lattice ratio over seeded families of 2 to _MAX_PARTS
+    fields: a lower bound.
 
     mode "convex":  rho((sum f_j^p)^(1/p)) / (sum rho(f_j)^p)^(1/p)
     mode "concave": the reciprocal quotient.
@@ -192,15 +195,16 @@ def lattice_constant_probe(
     n = len(space)
     rng = np.random.default_rng(seed)
     styles = ("disjoint", "proportional", "random")
-    fams = [random_family(rng, n, int(rng.integers(2, max_parts + 1)), styles[t % len(styles)])
+    fams = [random_family(rng, n, int(rng.integers(2, _MAX_PARTS + 1)), styles[t % len(styles)])
             for t in range(int(trials))]
     fams = [fam for fam in fams if np.any(fam > 0)]
-    stack = _pad(fams, max_parts, n)
-    combined = _lp_rows(stack.transpose(0, 2, 1).reshape(-1, max_parts), p, np.ones(max_parts))
+    stack = _pad(fams, _MAX_PARTS, n)
+    ones = np.ones(_MAX_PARTS)
+    combined = _lp_rows(stack.transpose(0, 2, 1).reshape(-1, _MAX_PARTS), p, ones)
     # G and the envelope stack in one row call
     vals = gauge_values_rows(g, space, np.vstack([combined.reshape(-1, n), stack.reshape(-1, n)]))
     G = vals[:len(fams)]
-    H = _lp_rows(vals[len(fams):].reshape(-1, max_parts), p, np.ones(max_parts))
+    H = _lp_rows(vals[len(fams):].reshape(-1, _MAX_PARTS), p, ones)
     ratios = _ratios(G, H) if mode == "convex" else _ratios(H, G)
     best = float(ratios.max(initial=0.0))
     witness = None

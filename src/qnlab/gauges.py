@@ -25,6 +25,12 @@ phi finite, nonnegative and nondecreasing on a 1000-point log grid; claimed
 concavity by a midpoint test on the grid pairs i < j, 64 rows at a time,
 so the test holds at most a few MB of temporaries.
 
+Every value comes from a gauge's row kernel `_value_rows`, and each gauge
+declares once, as class-level `tag` and `tol`, what its values are: Lp and
+WeakL1 are EXACT closed forms, Orlicz is EXACT to its Luxemburg `tol`,
+Intersect is an UPPER bound, and Convexified takes its base's declaration.
+`eval_gauge` returns the row-kernel value under that tag and tol.
+
 Lp and WeakL1 use the row kernels of `qnlab.measure`.  Fields with entries
 within 1e+-300 are evaluated to about 1e-12 relative; a value beyond the
 float range raises InputError, so no overflowed value is ever tagged.
@@ -40,8 +46,8 @@ import numpy as np
 
 from .bounds import BoundResult, Tag
 from .errors import GaugeDefinitionError, InputError
-from .measure import (MeasureSpace, ScalarField, VectorField, _lp_kappa, _lp_rows, _row_max,
-                      _weak_l1_rows, _wsum)
+from .measure import (MeasureSpace, ScalarField, VectorField, _check_same_length, _lp_kappa,
+                      _lp_rows, _row_max, _weak_l1_rows, _wsum)
 
 # relative bracket width for the Luxemburg solve used by eval_gauge;
 # tight enough that gauge homogeneity survives at 1e-12 relative
@@ -339,9 +345,17 @@ def luxemburg(
 # ---------------------------------------------------------------------------
 
 class Gauge:
-    """Base class: positively homogeneous monotone gauges."""
+    """Base class: positively homogeneous monotone gauges.
+
+    A gauge declares once what its values are: `tag` (EXACT, or UPPER for
+    search upper bounds) and `tol` (the relative width an iterated value is
+    solved to; None for closed forms).  Every value comes from `_value_rows`,
+    and `result` tags it with that declaration.
+    """
 
     kind: str = "abstract"
+    tag: Tag = Tag.EXACT
+    tol: Optional[float] = None
 
     # exact modulus of concavity, when known in closed form
     def known_kappa(self) -> Optional[float]:
@@ -366,12 +380,11 @@ class Gauge:
         raise NotImplementedError
 
     def value(self, space: MeasureSpace, f: ScalarField) -> float:
-        if len(f) != len(space):
-            raise InputError("field and space atom counts differ")
+        _check_same_length(space, f)
         return _in_range(float(self._value_rows(space, np.abs(f.values)[None, :])[0]))
 
     def result(self, space: MeasureSpace, f: ScalarField) -> BoundResult:
-        return BoundResult(self.value(space, f), Tag.EXACT)
+        return BoundResult(self.value(space, f), self.tag, tol=self.tol)
 
     def label(self) -> str:
         return self.kind
@@ -425,24 +438,17 @@ class Orlicz(Gauge):
             raise InputError("Luxemburg tolerance must be positive and finite")
 
     def known_kappa(self) -> Optional[float]:
-        if self.phi.name.startswith("power(") and self.phi.p is not None:
-            return _lp_kappa(self.phi.p)
-        return None
+        return None if self.phi.p is None else _lp_kappa(self.phi.p)
 
     @property
     def convexity_p(self) -> Optional[float]:
-        if self.phi.p is not None:
-            return min(self.phi.p, 1.0)
-        return None
+        return None if self.phi.p is None else min(self.phi.p, 1.0)
 
     # the Luxemburg gauge of the power kernel t^p is the L_p closed form
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
         if self.phi.p is not None:
             return _lp_rows(rows, self.phi.p, space.weights)
         return _lux_rows(self.phi, rows, space.weights, self.tol)
-
-    def result(self, space: MeasureSpace, f: ScalarField) -> BoundResult:
-        return BoundResult(self.value(space, f), Tag.EXACT, tol=self.tol)
 
     def label(self) -> str:
         return f"Orlicz[{self.phi.name}]"
@@ -463,6 +469,14 @@ class Convexified(Gauge):
         cp = self.base.convexity_p
         return None if cp is None else min(cp * self.r, 1.0)
 
+    @property
+    def tag(self) -> Tag:
+        return self.base.tag
+
+    @property
+    def tol(self) -> Optional[float]:
+        return self.base.tol
+
     # g(|f|^r)^(1/r) = m * g((|f|/m)^r)^(1/r) for any m > 0 by homogeneity;
     # m = max |f| (1 for a zero field) keeps (|f|/m)^r within [0, 1]
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
@@ -470,12 +484,6 @@ class Convexified(Gauge):
         m[m == 0] = 1.0
         scaled = (rows / m[:, None]) ** self.r
         return m * self.base._value_rows(space, scaled) ** (1.0 / self.r)
-
-    def result(self, space: MeasureSpace, f: ScalarField) -> BoundResult:
-        m = float(np.max(np.abs(f.values))) or 1.0
-        inner = self.base.result(space, ScalarField((np.abs(f.values) / m) ** self.r))
-        value = _in_range(m * inner.value ** (1.0 / self.r))
-        return BoundResult(value, inner.tag, tol=inner.tol)
 
     def label(self) -> str:
         return f"({self.base.label()})^({self.r:g})"
@@ -493,6 +501,7 @@ class Intersect(Gauge):
     g2: Gauge
     budget: int = 32
     kind: str = field(default="intersect", init=False)
+    tag = Tag.UPPER
 
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
         return _intersect_rows(self.g1, self.g2, space, rows, self.budget, 0)[0]
@@ -522,8 +531,7 @@ def eval_gauge(g: Gauge, space: MeasureSpace, f: ScalarField) -> BoundResult:
 
 def eval_vector_gauge(g: Gauge, space: MeasureSpace, F: VectorField) -> BoundResult:
     """Gauge of the pointwise target-norm field of F."""
-    if len(F) != len(space):
-        raise InputError("field and space atom counts differ")
+    _check_same_length(space, F)
     return g.result(space, F.norm_field())
 
 
@@ -644,8 +652,7 @@ def intersect_eval(
     lockstep search behind Intersect, whose rows all share the starts of
     seed 0.
     """
-    if len(f) != len(space):
-        raise InputError("field and space atom counts differ")
+    _check_same_length(space, f)
     vals = np.abs(f.values)
     values, alphas = _intersect_rows(g1, g2, space, vals[None, :], budget, seed)
     u = alphas[0] * vals
@@ -669,8 +676,7 @@ def dual_gauge(
     optimizing u as witness).  Otherwise a projected multiplicative ascent
     over the unit sphere of g reports a certified lower bound.
     """
-    if len(f) != len(space):
-        raise InputError("field and space atom counts differ")
+    _check_same_length(space, f)
     vals = np.abs(f.values)
     w = space.weights
 

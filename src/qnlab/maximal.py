@@ -22,6 +22,7 @@ at every scale).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -191,8 +192,11 @@ def _radii(grid: GridSpace, scales: Optional[Iterable[float]]) -> Tuple[int, ...
         raise InputError("need at least one scale")
     if any(not h > 0.0 for h in scales):
         raise InputError("scales must be positive")
+    if not all(map(math.isfinite, scales)):
+        raise InputError("scales must be finite")
     n = grid.cells
-    return tuple(min(int(np.floor(h * n + 1e-9)), n) for h in scales)
+    # a halfwidth above 1 covers the grid; clipping it first keeps h * n finite
+    return tuple(int(np.floor(min(h, 1.0) * n + 1e-9)) for h in scales)
 
 
 def _window_means(grid: GridSpace, a: np.ndarray, r: int) -> np.ndarray:

@@ -10,6 +10,8 @@ import numpy as np
 
 from .measure import Partition
 
+_MAX_BLOCKS = 4  # the most blocks of a random_partition
+
 
 def random_values(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
     if style == "uniform":
@@ -49,8 +51,8 @@ def random_family(
     return rng.random((k, n)) * (rng.random((k, n)) < 0.8)
 
 
-def random_partition(rng: np.random.Generator, n: int, max_blocks: int = 4) -> Partition:
-    k = int(rng.integers(1, min(max_blocks, n) + 1))
+def random_partition(rng: np.random.Generator, n: int) -> Partition:
+    k = int(rng.integers(1, min(_MAX_BLOCKS, n) + 1))
     owner = rng.integers(0, k, size=n)
     # make sure every block label is inhabited
     for b in range(k):

@@ -4,7 +4,9 @@ A target is R^dim with ||v|| = g(|v|), g a `Gauge` over counting measure on
 dim atoms: Lp(q) for `lq_space`, WeakL1 for `weak_l1_space`
 (||v|| = max_k k * v*_k, v* the decreasing rearrangement of |v|), and any
 other exact gauge the same way: an Orlicz space l_phi, a convexification, or
-a `Gauge` subclass that defines `_value_rows` and `known_kappa`.
+a `Gauge` subclass that defines `_value_rows` and `known_kappa`.  A gauge
+whose declared `tag` is not EXACT (an intersection, whose values are search
+upper bounds, or a convexification of one) is refused.
 
 kappa, the least constant with ||x + y|| <= kappa (||x|| + ||y||), must be an
 upper bound: the gauge's known kappa (2^(1/q - 1) for l_q with q < 1, 2 for
@@ -17,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import Tag
 from .errors import InputError
-from .gauges import Convexified, Gauge, Intersect, Lp, WeakL1
+from .gauges import Gauge, Lp, WeakL1
 from .measure import _weak_l1_rows, counting_space
 
 _HOMOGENEITY_RTOL = 1e-12
@@ -32,11 +35,6 @@ def weak_l1_vector_norm(v: np.ndarray) -> float:
     return float(_weak_l1_rows(a[None, :], np.ones(a.size))[0])
 
 
-def _searched(g: Gauge) -> bool:
-    """True when g's values are search upper bounds rather than exact values."""
-    return isinstance(g, Intersect) or (isinstance(g, Convexified) and _searched(g.base))
-
-
 @dataclass(frozen=True)
 class QuasiNormedSpace:
     """R^dim with ||v|| = gauge(|v|) over counting measure on dim atoms."""
@@ -48,7 +46,7 @@ class QuasiNormedSpace:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InputError("space dimension must be >= 1")
-        if _searched(self.gauge):
+        if self.gauge.tag is not Tag.EXACT:
             raise InputError("a target norm must be exact; intersection gauges are searched")
         k = self.gauge.known_kappa()
         if k is not None and not k >= 1.0:

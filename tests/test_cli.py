@@ -192,6 +192,11 @@ def test_malformed_inputs_exit_two(capsys):
         ["galb-estimate", "--target", '{"kind": "intersect", "g1": {"kind": "lp", "p": 1},'
          ' "g2": {"kind": "lp", "p": 2}, "dim": 2}', "--coefficients", "[1.0]"],
         ["suite", "--name", "ftc", "--cells", "0"],
+        # a halfwidth beyond the float range, and an empty dimension
+        ["ftc", "--cells", "16", "--scales", "inf"],
+        ["ftc", "--cells", "16", "--scales", "0.25,1e400"],
+        ["mii", "--gauge-a", '{"kind": "lp", "p": 1.0}',
+         "--gauge-b", '{"kind": "lp", "p": 1.0}', "--dims", "0x3"],
     )
     for argv in cases:
         code, out, err = run(capsys, argv)
@@ -218,6 +223,13 @@ def test_malformed_inputs_exit_two(capsys):
          '{"weights": [1.0]}', "--field", '{"values": [1.0]}', "--budget", "-2"],
         ["dual", "--gauge", '{"kind": "lp", "p": 1.0}', "--space", '{"weights": [1.0]}',
          "--field", '{"values": [1.0]}', "--budget", "x"],
+        # a bound or an exponent that is not a finite number
+        ["mii", "--gauge-a", '{"kind": "lp", "p": 2.0}',
+         "--gauge-b", '{"kind": "lp", "p": 1.0}', "--bound", "nan"],
+        ["envelope", "--gauge", '{"kind": "lp", "p": 1.0}', "--p", "nan", "--space",
+         '{"weights": [1.0]}', "--field", '{"values": [1.0]}'],
+        ["envelope", "--gauge", '{"kind": "lp", "p": 1.0}', "--p", "inf", "--space",
+         '{"weights": [1.0]}', "--field", '{"values": [1.0]}'],
     )
     for argv in flag_cases:
         code, out, err = run(capsys, argv)

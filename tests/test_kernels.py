@@ -3,7 +3,9 @@
 Regression cases where powers taken before scaling overflow or leave the
 normal range, and Hypothesis properties: homogeneity over scales 10^+-300,
 agreement with the row-max-scaled math.fsum, level-set and brentq
-Luxemburg oracles, and a row's value independent of the batch it is in.
+Luxemburg oracles, a row's value independent of the batch it is in, and
+`eval_gauge` equal to the row kernel bitwise, under the gauge's declared
+tag and tol.
 """
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from qnlab import (
     Convexified,
     InputError,
+    Intersect,
     Lp,
     MeasureSpace,
     Orlicz,
@@ -212,6 +215,43 @@ def test_row_value_does_not_depend_on_its_batch(g, batch):
     assert np.array_equal(whole, alone)
     assert np.array_equal(gauge_values_rows(g, space, np.asfortranarray(vs)), whole)
     assert np.array_equal(gauge_values_rows(g, space, vs[1:]), whole[1:])
+
+
+# ---------------------------------------------------------------------------
+# one result path: eval_gauge is the row kernel under the gauge's declaration
+# ---------------------------------------------------------------------------
+
+ONE_PATH_BASES = (
+    Lp(0.5),
+    Lp(2.0),
+    WeakL1(),
+    Orlicz(builtin_phi("loglog")),
+    Orlicz(builtin_phi("rational")),
+    Orlicz(builtin_phi("power", 0.5)),
+    Intersect(Lp(1.0), WeakL1(), budget=4),
+)
+ONE_PATH_GAUGES = (
+    ONE_PATH_BASES
+    + tuple(convexify(g, (0.7, 1.5, 3.0)[i % 3]) for i, g in enumerate(ONE_PATH_BASES))
+    + (convexify(convexify(Orlicz(builtin_phi("loglog")), 0.7), 2.5),)
+)
+# signed fields whose nonzero entries have magnitudes in [1e-300, 1e300),
+# drawn from the whole range and from [1e-3, 1e3]
+magnitudes = st.one_of(st.floats(1e-3, 1e3), st.tuples(
+    st.floats(1.0, 9.99), st.integers(-300, 299)).map(lambda me: me[0] * 10.0 ** me[1]))
+fields = st.lists(st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v)),
+                  min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("g", ONE_PATH_GAUGES, ids=lambda g: g.label())
+@settings(max_examples=100)
+@given(values=fields)
+def test_eval_gauge_is_the_row_kernel_bitwise(g, values):
+    f = np.array(values)
+    space = MeasureSpace(np.linspace(0.5, 2.0, f.size))
+    res = eval_gauge(g, space, ScalarField(f, signed=True))
+    assert res.value == gauge_values_rows(g, space, f[None, :])[0]
+    assert res.tag is g.tag and res.tol == g.tol
 
 
 # ---------------------------------------------------------------------------

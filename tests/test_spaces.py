@@ -11,6 +11,7 @@ from qnlab import (
     Intersect,
     Lp,
     QuasiNormedSpace,
+    Tag,
     convexify,
     lq_space,
     weak_l1_space,
@@ -120,12 +121,25 @@ def test_target_kappa_below_one_is_rejected():
         QuasiNormedSpace(2, SupGauge(kappa_bound=0.5))
 
 
+@dataclass(frozen=True)
+class SearchedSupGauge(SupGauge):
+    """A user gauge whose values it declares to be search upper bounds."""
+
+    tag = Tag.UPPER
+
+
 def test_searched_target_gauge_is_rejected():
     # intersection values are search upper bounds, not norms
     with pytest.raises(InputError):
         QuasiNormedSpace(2, Intersect(Lp(1.0), Lp(2.0)))
     with pytest.raises(InputError):
         QuasiNormedSpace(2, convexify(Intersect(Lp(1.0), Lp(2.0)), 2.0))
+    # a user gauge is refused by its declared tag alone, as is its convexification
+    assert SupGauge().tag is Tag.EXACT
+    with pytest.raises(InputError):
+        QuasiNormedSpace(2, SearchedSupGauge())
+    with pytest.raises(InputError):
+        QuasiNormedSpace(2, convexify(SearchedSupGauge(), 2.0))
 
 
 def test_unknown_kappa_is_infinite_and_not_banach():
