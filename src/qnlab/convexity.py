@@ -352,6 +352,10 @@ class MiiSweepReport:
     witness_shape: Tuple[int, int]
 
 
+# the most matrix entries mii_sweep draws for one dimension pair (128 MiB)
+_MII_MAX_ENTRIES = 2**24
+
+
 def mii_sweep(
     gauge_a: Gauge,
     gauge_b: Gauge,
@@ -363,8 +367,12 @@ def mii_sweep(
     both factors under counting measure.
 
     Identity-like matrices are always included: they are the classical
-    family separating the two orders of evaluation.
+    family separating the two orders of evaluation.  A dimension pair whose
+    trials * m * n entries exceed _MII_MAX_ENTRIES is refused before any
+    matrix is drawn.
     """
+    if any(int(trials) * m * n > _MII_MAX_ENTRIES for m, n in dims):
+        raise InputError(f"mii draws at most {_MII_MAX_ENTRIES} matrix entries per dimension pair")
     rng = np.random.default_rng(seed)
     per_dim: Dict[Tuple[int, int], float] = {}
     overall = 0.0

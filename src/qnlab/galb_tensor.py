@@ -19,13 +19,21 @@ as J is preserved.
 The galb searches price in batches: galbs_check evaluates the dominating
 gauge on every coefficient shape of a size in one row call, and the ascent
 of galb_gauge_estimate prices all seeds in one `norms` call and, per
-coefficient, its 2d + 2 moves in another.  The tensor search still prices
-one rewrite at a time.
+coefficient, its 2d + 2 moves in another.
+
+The tensor search works on terms in one canonical form: `_prune` drops the
+terms whose vector or field is zero, and `_merge_colinear` folds the
+remaining terms whose vectors are multiples of one another into one term,
+all pairs tested at once by their 2x2 minors.  Every candidate is priced
+by one call of lam's row kernel on its own profile: candidates of
+different term counts are not padded into one batch, because zero padding
+moves the last bits of a power sum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -276,12 +284,21 @@ def i_map_termwise(rep: TensorRep, space: MeasureSpace) -> np.ndarray:
     return (rep.fs @ space.weights) @ rep.xs
 
 
+@lru_cache(maxsize=64)
+def _counting(k: int) -> MeasureSpace:
+    """The counting space on k terms, built once per term count."""
+    return MeasureSpace(np.ones(k))
+
+
 def _cost(rep: TensorRep, xs: np.ndarray, fs: np.ndarray, weights: np.ndarray) -> float:
-    """lam((||x_j||_X * ||f_j||_L1)_j) of the terms (xs, fs) over counting measure."""
+    """lam((||x_j||_X * ||f_j||_L1)_j) of the terms (xs, fs) over counting measure.
+
+    The profile is nonnegative, so it goes to lam's row kernel as it is.
+    """
     if xs.shape[0] == 0:
         return 0.0
     prof = rep.target.norms(xs) * (np.abs(fs) @ weights)
-    return float(gauge_values_rows(rep.lam, MeasureSpace(np.ones(prof.size)), prof[None, :])[0])
+    return float(rep.lam._value_rows(_counting(prof.size), prof[None, :])[0])
 
 
 def profile_value(rep: TensorRep, space: MeasureSpace) -> float:
@@ -293,43 +310,63 @@ def profile_value(rep: TensorRep, space: MeasureSpace) -> float:
 # tensor quasi-norm estimation (upper bounds with witnesses)
 # ---------------------------------------------------------------------------
 
+# the most 2x2 minors one block of the colinearity test holds; a term pair
+# with more (dim > 512) makes a block alone
+_MINOR_BLOCK = 2**18
+
+
+@lru_cache(maxsize=64)
+def _pairs(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of k terms, in row order."""
+    return np.triu_indices(k, 1)
+
+
 def _prune(xs: np.ndarray, fs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    keep = ~(
-        (np.max(np.abs(xs), axis=1) == 0.0) | (np.max(np.abs(fs), axis=1) == 0.0)
-    )
-    if not np.any(keep):
+    """Drop the terms whose vector or field is zero; one zero term if none is left."""
+    keep = (np.abs(xs).max(axis=1) != 0.0) & (np.abs(fs).max(axis=1) != 0.0)
+    if not keep.any():
         return xs[:1] * 0.0, fs[:1] * 0.0
     return xs[keep], fs[keep]
 
 
 def _merge_colinear(xs: np.ndarray, fs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge terms whose vectors are scalar multiples of each other."""
-    k = xs.shape[0]
-    used = np.zeros(k, dtype=bool)
-    out_x: List[np.ndarray] = []
-    out_f: List[np.ndarray] = []
-    scale = np.max(np.abs(xs), axis=1)
-    for i in range(k):
-        if used[i] or scale[i] == 0.0:
-            continue
-        xi = xs[i]
-        fi = fs[i].copy()
-        for j in range(i + 1, k):
-            if used[j] or scale[j] == 0.0:
-                continue
-            # xj colinear with xi iff the 2x2 minors vanish
-            cross = np.abs(np.outer(xi, xs[j]) - np.outer(xs[j], xi))
-            if np.max(cross) <= 1e-12 * scale[i] * scale[j]:
-                pivot = int(np.argmax(np.abs(xi)))
-                c = xs[j, pivot] / xi[pivot]
-                fi = fi + c * fs[j]
-                used[j] = True
-        used[i] = True
-        out_x.append(xi)
-        out_f.append(fi)
-    if not out_x:
-        return xs[:1] * 0.0, fs[:1] * 0.0
-    return np.stack(out_x), np.stack(out_f)
+    """Merge pruned terms whose vectors are scalar multiples of each other.
+
+    x_i and x_j (i < j) are colinear when every 2x2 minor x_ia x_jb - x_ja x_ib
+    is at most 1e-12 |x_i|_inf |x_j|_inf in size.  In index order, term j
+    joins the first earlier term that is still a representative and is
+    colinear with it, and otherwise stays one; within tolerance colinearity
+    need not be transitive, so this order is part of the result.  A
+    representative i keeps x_i and adds c_j f_j for its members j in
+    increasing j, where c_j = x_j[p] / x_i[p] at the largest entry p of x_i.
+    """
+    k, d = xs.shape
+    if k == 1:
+        return xs, fs
+    ax = np.abs(xs)
+    scale = ax.max(axis=1)
+    iu, ju = _pairs(k)
+    step = max(1, _MINOR_BLOCK // (d * d))
+    worst = np.empty(iu.size)
+    for s in range(0, iu.size, step):
+        xi, xj = xs[iu[s:s + step]], xs[ju[s:s + step]]
+        minors = xi[:, :, None] * xj[:, None, :] - xj[:, :, None] * xi[:, None, :]
+        worst[s:s + step] = np.abs(minors).reshape(-1, d * d).max(axis=1)
+    near = worst <= 1e-12 * scale[iu] * scale[ju]
+    if not near.any():
+        return xs, fs
+    colinear = np.zeros((k, k), dtype=bool)
+    colinear[iu, ju] = near
+    own = np.ones(k, dtype=bool)
+    pivot = ax.argmax(axis=1)
+    merged = fs.copy()
+    for j in range(1, k):
+        first = colinear[:j, j] & own[:j]
+        i = first.argmax()
+        if first[i]:
+            own[j] = False
+            merged[i] += xs[j, pivot[i]] / xs[i, pivot[i]] * fs[j]
+    return xs[own], merged[own]
 
 
 def tensor_norm_estimate(
@@ -341,9 +378,12 @@ def tensor_norm_estimate(
     """Upper bound for the tensor quasi-norm of rep, with a witness rep.
 
     Candidate rewrites keep the per-atom contraction J fixed (exactly, up
-    to floating rounding): pruning zero terms, merging colinear vectors,
-    the per-atom rank-one rewrite (J(omega), indicator of omega), an SVD
-    refactorization, and budgeted random two-term rotations.  The returned
+    to floating rounding): rep with its zero terms pruned, the same with its
+    colinear vectors merged, and, when J is not zero, the per-atom rank-one
+    rewrite (J(omega), indicator of omega) and an SVD refactorization.  From
+    the cheapest, budgeted random two-term rotations follow; each proposal
+    is brought to the canonical form (pruned, then merged) before it is
+    priced.  Each candidate and proposal costs one evaluation.  The returned
     value is the cheapest profile cost seen; its witness re-evaluates to
     that value.
     """
@@ -354,17 +394,11 @@ def tensor_norm_estimate(
     jmat = rep.fs.T @ rep.xs  # (n_atoms, dim)
     jscale = float(np.max(np.abs(jmat), initial=0.0))
 
-    candidates: List[Tuple[np.ndarray, np.ndarray]] = []
-    candidates.append(_prune(rep.xs, rep.fs))
-    candidates.append(_merge_colinear(*_prune(rep.xs, rep.fs)))
-    # per-atom rank-one rewrite
-    live = np.where(np.max(np.abs(jmat), axis=1) > 0)[0]
-    if live.size:
-        fs_atom = np.zeros((live.size, rep.n_atoms))
-        fs_atom[np.arange(live.size), live] = 1.0
-        candidates.append((jmat[live], fs_atom))
-    # SVD refactorization of the J matrix
+    candidates = [_prune(rep.xs, rep.fs)]
+    candidates.append(_merge_colinear(*candidates[0]))
     if jscale > 0:
+        # per-atom rank-one rewrite, and the SVD refactorization of J
+        candidates.append(_prune(jmat, np.eye(rep.n_atoms)))
         u, s, vt = np.linalg.svd(jmat, full_matrices=False)
         rank = int(np.sum(s > 1e-13 * s[0]))
         if rank > 0:

@@ -165,16 +165,11 @@ def cube_average(
     returned as-is, so averaging a locally constant field is exact.
     """
     idx = _cube_flat_indices(grid, cube)
-    if isinstance(f, VectorField):
-        block = f.vectors[idx]
-        if bool(np.all(block == block[0])):
-            return block[0].copy()
-        return block.mean(axis=0)
-    block = _scalar_values(grid, f)[idx]
-    first = block[0]
-    if bool(np.all(block == first)):
-        return float(first)
-    return float(block.mean())
+    # a scalar field is averaged as a one-column vector field
+    vector = isinstance(f, VectorField)
+    block = (f.vectors if vector else _scalar_values(grid, f)[:, None])[idx]
+    avg = block[0].copy() if np.all(block == block[0]) else block.mean(axis=0)
+    return avg if vector else float(avg[0])
 
 
 def default_scales(grid: GridSpace) -> Tuple[float, ...]:

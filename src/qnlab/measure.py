@@ -132,6 +132,8 @@ class MeasureSpace:
             raise InputError("weights must be a nonempty 1-d sequence")
         if not np.all(w > 0):
             raise InputError("atom weights must be strictly positive")
+        if not np.all(np.isfinite(w)):
+            raise InputError("atom weights must be finite")
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
@@ -289,31 +291,19 @@ def conditional_expectation(space: MeasureSpace, partition: Partition, f: Field)
     """
     partition.validate_for(space)
     _check_same_length(space, f)
-    if isinstance(f, ScalarField):
-        out = np.empty_like(f.values)
-        for b in partition.blocks:
-            idx = np.asarray(b, dtype=int)
-            vals = f.values[idx]
-            if np.all(vals == vals[0]):
-                avg = vals[0]
-            else:
-                w = space.weights[idx]
-                avg = float(np.dot(w, vals) / np.sum(w))
-            out[idx] = avg
-        return ScalarField(out, signed=True if f.signed else bool(np.any(out < 0)))
+    if not isinstance(f, (ScalarField, VectorField)):
+        raise InputError(f"unsupported field type {type(f).__name__}")
+    # a scalar field is averaged as a one-column vector field
+    cols = f.values[:, None] if isinstance(f, ScalarField) else f.vectors
+    out = np.empty_like(cols)
+    for b in partition.blocks:
+        idx = np.asarray(b, dtype=int)
+        w, block = space.weights[idx], cols[idx]
+        out[idx] = block[0] if np.all(block == block[0]) else w @ block / np.sum(w)
     if isinstance(f, VectorField):
-        out = np.empty_like(f.vectors)
-        for b in partition.blocks:
-            idx = np.asarray(b, dtype=int)
-            vecs = f.vectors[idx]
-            if np.all(vecs == vecs[0]):
-                avg = vecs[0]
-            else:
-                w = space.weights[idx]
-                avg = w @ vecs / np.sum(w)
-            out[idx] = avg
         return VectorField(out, f.target)
-    raise InputError(f"unsupported field type {type(f).__name__}")
+    out = out[:, 0]
+    return ScalarField(out, signed=True if f.signed else bool(np.any(out < 0)))
 
 
 def integral(space: MeasureSpace, f: Field):

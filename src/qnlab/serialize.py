@@ -169,6 +169,8 @@ def _number_array(data: Any, where: str, ndim: int) -> np.ndarray:
         raise InputError(f"{where} must be numeric: {exc}") from exc
     if arr.ndim != ndim:
         raise InputError(f"{where} must be {ndim}-dimensional")
+    if not np.all(np.isfinite(arr)):  # JSON NaN, Infinity, or a number like 1e400
+        raise InputError(f"{where} entries must be finite numbers")
     return arr
 
 

@@ -152,6 +152,25 @@ def test_satisfied_bound_exits_zero(capsys):
     assert "witness" not in payload
 
 
+# array inputs with a JSON number beyond the float range, NaN or Infinity
+NON_FINITE_ARRAYS = (
+    ["galb-estimate", "--target", '{"kind": "lq", "dim": 2, "q": 2}',
+     "--coefficients", "[1e400]", "--budget", "10"],
+    ["galb-estimate", "--target", '{"kind": "lq", "dim": 2, "q": 2}',
+     "--coefficients", '{"values": [1.0, NaN]}'],
+    ["galb-estimate", "--target", '{"kind": "lq", "dim": 2, "q": 2}',
+     "--coefficients", "[-Infinity]"],
+    ["eval", "--gauge", '{"kind": "lp", "p": 1.0}', "--space", '{"weights": [1.0, 1e400]}',
+     "--field", '{"values": [1.0, 1.0]}'],
+    ["eval", "--gauge", '{"kind": "lp", "p": 1.0}', "--space", '{"weights": [1.0]}',
+     "--field", '{"values": [NaN]}'],
+    ["eval", "--gauge", '{"kind": "lp", "p": 1.0}', "--space", '{"weights": [1.0]}',
+     "--vectors", "[[Infinity]]", "--target", '{"kind": "lq", "dim": 1, "q": 1}'],
+    ["tensor-norm", "--rep", '{"xs": [[1e400]], "fs": [[1.0]], "target": {"kind": "lq",'
+     ' "dim": 1, "q": 1}, "lam": {"kind": "lp", "p": 1}}', "--space", '{"weights": [1.0]}'],
+)
+
+
 def test_malformed_inputs_exit_two(capsys):
     cases = (
         ["eval", "--gauge", '{"kind": "nope"}', "--space", '{"weights": [1.0]}',
@@ -197,11 +216,21 @@ def test_malformed_inputs_exit_two(capsys):
         ["ftc", "--cells", "16", "--scales", "0.25,1e400"],
         ["mii", "--gauge-a", '{"kind": "lp", "p": 1.0}',
          "--gauge-b", '{"kind": "lp", "p": 1.0}', "--dims", "0x3"],
-    )
+        # more matrix entries than one mii dimension pair may draw, refused
+        # before any is allocated (the first would take 74.5 GiB)
+        ["mii", "--gauge-a", '{"kind": "lp", "p": 1.0}',
+         "--gauge-b", '{"kind": "lp", "p": 1.0}', "--dims", "100000x100000", "--trials", "1"],
+        ["mii", "--gauge-a", '{"kind": "lp", "p": 1.0}',
+         "--gauge-b", '{"kind": "lp", "p": 1.0}', "--dims", "4x4,4097x4097", "--trials", "1"],
+    ) + NON_FINITE_ARRAYS
     for argv in cases:
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+    # a non-finite array entry is refused where it is parsed, naming its key
+    for argv in NON_FINITE_ARRAYS:
+        code, out, err = run(capsys, argv)
+        assert out == "" and err.endswith("entries must be finite numbers\n"), argv
     # an empty battery or a non-finite tolerance is refused before any check runs
     flag_cases = (
         ["suite", "--name", "orlicz-concavity", "--trials", "0"],

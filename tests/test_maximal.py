@@ -423,6 +423,21 @@ def test_window_extremes_equal_the_enumeration_bitwise(data, r):
         assert got.tobytes() == window_extreme_oracle(g, a, r, pick).tobytes()
 
 
+@settings(max_examples=150)
+@given(data=_fields(1), cell=st.tuples(st.integers(0, 23), st.integers(0, 23)),
+       h=st.floats(2.0 ** -7, 1.0), constant=st.booleans())
+def test_scalar_cube_average_is_the_one_column_vector_average_bitwise(data, cell, h, constant):
+    # a cube around a cell center holds at least that cell
+    g, a = data
+    if constant:
+        a[:] = a[0]
+    cube = CubeSpec(tuple((c % g.cells + 0.5) / g.cells for c in cell[:g.d]), h)
+    got = cube_average(g, ScalarField(a[:, 0], signed=True), cube)
+    want = cube_average(g, VectorField(a, lq_space(1, 1.0)), cube)
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
 @settings(max_examples=30)
 @given(data=_fields(1), scales=halfwidths)
 def test_hl_maximal_matches_window_oracle(data, scales):

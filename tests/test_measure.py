@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnlab import (
     InputError,
@@ -42,6 +44,9 @@ def test_measure_space_rejects_bad_weights():
         MeasureSpace(np.array([]))
     with pytest.raises(InputError):
         MeasureSpace(np.ones((2, 2)))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InputError):
+            MeasureSpace(np.array([1.0, bad]))
 
 
 def test_scalar_field_sign_checks():
@@ -180,6 +185,25 @@ def test_conditional_expectation_vector_field():
     assert np.allclose(e.vectors[1], [2.0, 1.0])
     assert np.allclose(e.vectors[2], [0.0, 0.0])
     assert np.allclose(integral(s, e), integral(s, vf))
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), scale=st.integers(-150, 150),
+       constant=st.booleans())
+def test_scalar_block_averages_are_the_one_column_vector_averages_bitwise(n, seed, scale,
+                                                                          constant):
+    # blocks of up to 300 atoms with unequal weights; constant=True makes the
+    # field constant on each block, the all-equal shortcut
+    rng = np.random.default_rng(seed)
+    s = MeasureSpace(rng.uniform(0.01, 10.0, size=n))
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    vals = rng.standard_normal(n) * 10.0 ** scale
+    if constant:
+        vals = vals[labels]
+    p = Partition(tuple(tuple(np.flatnonzero(labels == k).tolist()) for k in np.unique(labels)))
+    e = conditional_expectation(s, p, ScalarField(vals, signed=True))
+    ev = conditional_expectation(s, p, VectorField(vals[:, None], lq_space(1, 1.0)))
+    assert e.values.tobytes() == ev.vectors[:, 0].tobytes()
 
 
 # ---------------------------------------------------------------------------

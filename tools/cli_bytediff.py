@@ -34,6 +34,13 @@ LOGLOG = '{"kind": "orlicz", "phi": "loglog"}'
 REP = ('{"xs": [[1, 0.5], [-0.3, 2]], "fs": [[1, 2, 0.5], [0.2, -1, 3]],'
        ' "target": {"kind": "lq", "dim": 2, "q": 0.5}, "lam": {"kind": "lp", "p": 1}}')
 
+# every proposal of this search merges: all vectors of a dim-1 target are colinear
+REP_DIM1 = ('{"xs": [[1], [-0.5], [2]], "fs": [[1, 2, 0.5], [0.2, -1, 3], [0.7, 0.1, -0.4]],'
+            ' "target": {"kind": "lq", "dim": 1, "q": 0.5}, "lam": {"kind": "weak_l1"}}')
+# a rank-one representation, whose colinear terms merge into one
+REP_RANK1 = ('{"xs": [[1, 2], [-0.5, -1], [3, 6]], "fs": [[1, 2, 0.5], [0.2, -1, 3], [0.7, 0.1, -0.4]],'
+             ' "target": {"kind": "lq", "dim": 2, "q": 0.5}, "lam": {"kind": "lp", "p": 0.5}}')
+
 
 def _eval(gauge: str) -> list:
     return ["eval", "--gauge", gauge, "--space", W3, "--field", F3]
@@ -64,6 +71,8 @@ COMMANDS = [
                      "--coefficients", '{"values": [1.0, 0.5]}', "--budget", "100",
                      "--no-analytic"]),
     ("tensor-norm", ["tensor-norm", "--rep", REP, "--space", W3, "--budget", "50", "--seed", "2"]),
+    ("tensor-norm-dim1", ["tensor-norm", "--rep", REP_DIM1, "--space", W3, "--budget", "200"]),
+    ("tensor-norm-rank1", ["tensor-norm", "--rep", REP_RANK1, "--space", W3, "--budget", "200"]),
     ("envelope-loglog", ["envelope", "--gauge", LOGLOG, "--p", "0.5", "--space", W3,
                          "--field", F3, "--budget", "6"]),
     ("envelope-lp", ["envelope", "--gauge", LP, "--p", "0.5", "--space", W3, "--field", F3]),
@@ -99,6 +108,8 @@ ONCE = [
     ("nan-bound", ["mii", "--gauge-a", LP, "--gauge-b", LP, "--bound", "nan"]),
     ("intersect-target", ["galb-estimate", "--target", '{"kind": "intersect", "g1": %s,'
                           ' "g2": %s, "dim": 2}' % (LP, LP), "--coefficients", "[1.0]"]),
+    ("inf-coefficient", ["galb-estimate", "--target", '{"kind": "lq", "dim": 2, "q": 2}',
+                         "--coefficients", "[1e400]", "--budget", "10"]),
     ("bad-budget", ["galb-estimate", "--target", '{"kind": "lq", "dim": 2, "q": 2}',
                     "--coefficients", "[1.0]", "--budget", "-1"]),
     ("nan-p", ["envelope", "--gauge", LP, "--p", "nan", "--space", W3, "--field", F3]),
