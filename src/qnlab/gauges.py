@@ -23,7 +23,8 @@ Available kinds:
 An OrliczFunction checks its kernel once, at construction: phi(0) = 0, and
 phi finite, nonnegative and nondecreasing on a 1000-point log grid; claimed
 concavity by a midpoint test on the grid pairs i < j, 64 rows at a time,
-so the test holds at most a few MB of temporaries.
+so the test holds at most a few MB of temporaries (power kernels t^p with
+p <= 1 are concave and skip it).
 
 Every value comes from a gauge's row kernel `_value_rows`, and each gauge
 declares once, as class-level `tag` and `tol`, what its values are: Lp and
@@ -61,12 +62,21 @@ _ORLICZ_BLOCK = 64  # grid rows per block of the midpoint concavity check
 # 1 at 2^200 means the kernel defines no gauge; the points between are a start
 # grid, dense where the roots of the builtin kernels lie
 _LUX_X = np.array([-60.0, -24.0, -12.0, -6.0, -3.0, 0.0, 3.0, 6.0, 12.0, 24.0, 64.0, 200.0])
+_LUX_T = np.exp2(_LUX_X)
 # its coarse points 2^-12, 1 and 2^12 split it into four groups: group g
 # runs from its g-th coarse point up to the next one (group 0 from the bottom,
 # group 3 to the top)
 _LUX_COARSE = np.isin(_LUX_X, (-12.0, 0.0, 12.0))
 _LUX_GROUP = np.searchsorted(_LUX_X[_LUX_COARSE], _LUX_X, side="right")
 _LUX_CHUNK = 1 << 16  # start-grid points priced per phi call
+# a batch with at most this many rows left after the start grid steps on
+# Python floats (`_lux_few_steps`), a larger one in numpy: the largest size
+# at which the float loop was faster at every row width measured.  Float time
+# over numpy time on 2 cores, loglog and rational rows with entries in e^+-3,
+# at 10, 12, 14 and 16 rows: 0.85, 0.97, 0.96, 1.01 (n = 2); 0.83, 0.85,
+# 0.93, 0.97 (n = 6); 0.88, 0.91, 0.95, 1.03 (n = 16); 0.91, 0.94, 0.97,
+# 1.03 (n = 128)
+_LUX_FEW = 14
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +97,9 @@ class OrliczFunction:
     r = (phi(g_i) + phi(g_j))/2 (the pairs j < i are the same numbers, and
     i = j holds trivially).  The pairs go 64 grid rows at a time, so the
     check evaluates phi at about 530,000 points with temporaries of at most
-    0.5 MB each; a builtin kernel builds in about 4 ms.
+    0.5 MB each; a builtin kernel builds in about 4 ms.  A kernel with p <= 1
+    skips it: t^p is concave, and its gauge is the Lp closed form, which
+    never calls the evaluator.
     """
 
     name: str
@@ -111,7 +123,9 @@ class OrliczFunction:
             raise GaugeDefinitionError("phi must be finite and nonnegative on (0, 1e3]")
         if np.any(np.diff(vals) < -1e-12 * np.maximum(1.0, vals[:-1])):
             raise GaugeDefinitionError("phi must be nondecreasing")
-        if self.claimed_concave:
+        # t^p is concave for p <= 1, and Orlicz prices a kernel with p set by
+        # the Lp closed form, never through its evaluator
+        if self.claimed_concave and (self.p is None or self.p > 1.0):
             # midpoint concavity on the pairs i < j: rows i of one block against
             # the columns j from the block's first row on, so the pairs j <= i
             # inside a block are tested too (a pair j < i is the mirror image
@@ -233,10 +247,21 @@ def _lux_rows(
     many as bisecting the whole range to hi/lo <= 1 + tol would take, but
     never more than 63.  A row stops when hi/lo <= 1 + tol, or when the
     steps run out (only for tol near the float resolution), and gets
-    scale * sqrt(lo * hi).  Its value depends only on the row, never on the
-    rows batched with it: the row max comes from `measure._row_max` and each
-    level sum from `measure._wsum`, one loop per row, whose error is at most
-    (n - 1) u S (u = 2^-53) on top of phi's own.
+    scale * sqrt(lo * hi).
+
+    The start grid is one vectorized phase for every batch; the steps run
+    in one of two loops, chosen by the number of rows left after it.  Up to
+    _LUX_FEW rows step on Python floats (`_lux_few_steps`), where the dozens
+    of numpy dispatches a vector step makes would cost more than its
+    arithmetic; more rows step as numpy arrays.  Both loops take the same
+    IEEE operations in the same order: +, -, *, / and sqrt round alike in
+    Python and numpy, and phi, the level sums, log, log2 and exp2 are numpy
+    calls on arrays in both.  So the two loops give the same bits.
+
+    A row's value depends only on the row, never on the rows batched with
+    it: the row max comes from `measure._row_max`, each level sum from
+    `measure._wsum`, one loop per row, whose error is at most (n - 1) u S
+    (u = 2^-53) on top of phi's own, and both step loops give the same bits.
     """
     out = np.zeros(rows.shape[0])
     scale = _row_max(rows)
@@ -264,23 +289,24 @@ def _lux_rows(
     # overflow in phi or in a / t reads as a level sum of inf, and q = y / yp
     # below may divide by a last y of 0 (S = 1) or take inf / inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = _LUX_X[cols]
-        lev[:, cols] = price((a[:, None, :] / np.exp2(x)[:, None]).reshape(-1, a.shape[1])
-                             ).reshape(-1, x.size)
+        tc = _LUX_T[cols]
+        lev[:, cols] = price((a[:, None, :] / tc[:, None]).reshape(-1, a.shape[1])
+                             ).reshape(-1, tc.size)
         # g counts the coarse points read above 1 before the first at or below
         # it; the points below the g-th one are not read
         g = np.logical_and.accumulate(~(lev[:, _LUX_COARSE] <= 0.0), axis=1).sum(axis=1)
         lev[_LUX_GROUP < g[:, None]] = np.nan
         if not one:
             r, j = np.nonzero((_LUX_GROUP == g[:, None]) & ~_LUX_COARSE)
-            lev[r, j] = price(a[r] / np.exp2(_LUX_X[j, None]))
+            lev[r, j] = price(a[r] / _LUX_T[j, None])
         k = np.argmax(lev <= 0.0, axis=1)  # the first point read with S <= 1
-        if not np.all(lev[np.arange(k.size), k] <= 0.0):
+        at = np.arange(0, lev.size, _LUX_X.size) + k  # its flat index in lev
+        yh = lev.ravel()[at]
+        if not np.all(yh <= 0.0):
             raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
-        act, a, lev, k = act[k > 0], a[k > 0], lev[k > 0], k[k > 0]
-        i = np.arange(k.size)
-        tl, th, yl, yh = np.exp2(_LUX_X[k - 1]), np.exp2(_LUX_X[k]), lev[i, k - 1], lev[i, k]
-        yp = np.full(k.size, np.inf)  # the y of the last step (inf before the first)
+        if not k.all():
+            act, a, k, at, yh = (v[k > 0] for v in (act, a, k, at, yh))
+        tl, th, yl = _LUX_T[k - 1], _LUX_T[k], lev.ravel()[at - 1]
         # a width log2(hi/lo) at most `close` certifies hi/lo <= 1 + tol after rounding;
         # the steps are as many as bisecting the whole range to log2(1 + tol)
         # takes, which suffices to halve the widest grid interval down to it,
@@ -289,7 +315,12 @@ def _lux_rows(
         width = math.log1p(tol) / math.log(2.0)
         close = width * (1.0 - 2.0 ** -50) - 2.0 ** -50
         whole = math.log2((_LUX_X[-1] - _LUX_X[0]) / max(width, 1e-300))
-        for left in range(max(0, min(math.ceil(whole), 63)), -1, -1):
+        steps = max(0, min(math.ceil(whole), 63))
+        if 0 < act.size <= _LUX_FEW:
+            _lux_few_steps(level, a, act, scale, tl, th, yl, yh, close, steps, out)
+            return out
+        yp = np.full(k.size, np.inf)  # the y of the last step (inf before the first)
+        for left in range(steps, -1, -1):
             d = np.log2(th / tl)
             done = d <= (close if left else math.inf)
             if np.count_nonzero(done):
@@ -317,6 +348,65 @@ def _lux_rows(
     return out
 
 
+def _fdiv(a: float, b: float) -> float:
+    """a / b as numpy divides: +-inf, or NaN for a = 0 or NaN, where b = 0."""
+    if b:
+        return a / b
+    if a != a or a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _lux_few_steps(level, a, act, scale, tl, th, yl, yh, close, steps, out) -> None:
+    """The step loop of `_lux_rows` on per-row Python floats, for a few rows.
+
+    Takes the state the start grid leaves, the rows `act` of `out` with their
+    scaled rows a, brackets [tl, th] and ys, and writes each row's value to
+    out.  Each step makes three numpy calls on arrays: log2 of the widths,
+    exp2 of the steps and `level`; every other operation is the vector
+    loop's IEEE arithmetic, in its order, on one row's floats, with numpy's
+    rules where Python's differ: a division by 0 gives +-inf or NaN
+    (`_fdiv`), fmax(NaN, h) is h, a NaN q gives m = 1/2, and a NaN y is
+    above 1.  So every value has the vector loop's bits.
+    """
+    tl, th, yl, yh, sc = tl.tolist(), th.tolist(), yl.tolist(), yh.tolist(), scale[act].tolist()
+    yp = [math.inf] * len(tl)
+    half = 0.5 * close
+    for left in range(steps, -1, -1):
+        d = np.log2([h / lo for lo, h in zip(tl, th)]).tolist()
+        stop = close if left else math.inf
+        if min(d) <= stop:
+            keep = [i for i, v in enumerate(d) if v > stop]
+            for i, v in enumerate(d):
+                if v <= stop:
+                    out[act[i]] = sc[i] * math.sqrt(tl[i] * th[i])
+            if not keep:
+                return
+            act, a = act[keep], a[keep]
+            tl, th, yl, yh, yp, d, sc = ([v[i] for i in keep] for v in (tl, th, yl, yh, yp, d, sc))
+        # the vector loop's s = fmin(fmax(d - d yh / (yh - yl), close/2), d - close/2),
+        # or d/2 where d > lim
+        lim = close * 2.0 ** (left - 1)
+        s = []
+        for dv, lo, hi in zip(d, yl, yh):
+            if dv > lim:
+                s.append(0.5 * dv)
+                continue
+            r = dv - dv * _fdiv(hi, hi - lo)
+            r = r if r >= half else half
+            s.append(min(r, dv - half))
+        t = [lo * e for lo, e in zip(tl, np.exp2(s).tolist())]
+        y = level(a / np.array(t)[:, None]).tolist()
+        for i, v in enumerate(y):  # the vector loop's q, m and bracket update
+            q = _fdiv(v, yp[i])
+            m = min(1.0 - q, 1.0) if q < 1.0 else 0.5
+            yp[i] = v
+            if v <= 0.0:
+                th[i], yh[i], yl[i] = t[i], v, m * yl[i]
+            else:
+                tl[i], yl[i], yh[i] = t[i], v, m * yh[i]
+
+
 def luxemburg(
     phi: OrliczFunction,
     f: ScalarField,
@@ -325,16 +415,18 @@ def luxemburg(
 ) -> float:
     """Luxemburg gauge inf{t > 0 : sum_n w_n phi(|a_n|/t) <= 1}.
 
-    Counting measure unless explicit weights are given.  The value is the
-    geometric midpoint of a bracket [lo, hi] with level sum > 1 at lo, <= 1 at
-    hi and hi/lo <= 1 + tol, found by the Anderson-Bjorck solve of `_lux_rows`
-    in about seven phi calls.  Returns 0 for the zero field, and 0 when no positive
-    t pushes the level sum above 1 (bounded kernels on small supports).
+    Counting measure unless explicit weights are given; they must be the
+    weights of a `MeasureSpace` (positive and finite) of the field's length,
+    else InputError.  The value is the geometric midpoint of a bracket
+    [lo, hi] with level sum > 1 at lo, <= 1 at hi and hi/lo <= 1 + tol, found
+    by the Anderson-Bjorck solve of `_lux_rows` in about seven phi calls.
+    Returns 0 for the zero field, and 0 when no positive t pushes the level
+    sum above 1 (bounded kernels on small supports).
     """
     if not 0.0 < tol < math.inf:
         raise InputError("tolerance must be positive and finite")
     vals = np.abs(f.values)
-    w = np.ones(vals.size) if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones(vals.size) if weights is None else MeasureSpace(weights).weights
     if w.shape != vals.shape:
         raise InputError("weights length does not match field length")
     return float(_lux_rows(phi, vals[None, :], w, tol)[0])

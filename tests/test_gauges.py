@@ -643,6 +643,27 @@ def test_kernel_check_evaluates_phi_at_about_half_the_grid_pairs():
     assert 1 + 1000 + 1000 * 999 // 2 <= sum(points) <= 540_000
 
 
+def test_power_kernels_skip_the_midpoint_check():
+    # t^p is concave for p <= 1 and its gauge is the Lp closed form, so only
+    # phi(0) and the grid are evaluated; the same evaluator without p is
+    # checked in full, and a false claim for p > 1 is still caught
+    points = []
+    for p in (0.25, 1.0):
+
+        def counted(t, ev=_power_eval(p)):
+            points.append(np.size(t))
+            return ev(t)
+
+        points.clear()
+        OrliczFunction(name="counted", evaluator=counted, p=p)
+        assert sum(points) == 1 + 1000, p
+        points.clear()
+        OrliczFunction(name="counted", evaluator=counted)
+        assert sum(points) >= 1 + 1000 + 1000 * 999 // 2, p
+    with pytest.raises(GaugeDefinitionError):
+        OrliczFunction(name="t^2", evaluator=_power_eval(2.0), claimed_concave=True, p=2.0)
+
+
 def test_kernel_check_traced_memory_peak_is_under_8_mb():
     tracemalloc.start()
     try:

@@ -4,7 +4,9 @@ Each value must be certified by its bracket: the level sum, summed apart
 from qnlab by math.fsum, exceeds 1 at v/sqrt(1+tol) and does not at
 v*sqrt(1+tol).  It must agree with the brentq oracle, and a counting
 kernel shows how many phi calls a solve makes: never more than bisecting
-the whole bracket would, and about ten on typical rows.
+the whole bracket would, and about ten on typical rows.  Few-row batches
+step on Python floats and larger ones as numpy arrays; both must give the
+bits of a copy of the vector loop, and a few solves are pinned bitwise.
 """
 import math
 
@@ -22,8 +24,10 @@ from qnlab import (
     gauge_values_rows,
     luxemburg,
 )
-from qnlab.errors import GaugeDefinitionError
-from qnlab.gauges import DEFAULT_LUX_TOL, _loglog_eval
+from qnlab.errors import GaugeDefinitionError, InputError
+from qnlab.gauges import (_LUX_CHUNK, _LUX_COARSE, _LUX_FEW, _LUX_GROUP, _LUX_X, DEFAULT_LUX_TOL,
+                          _fdiv, _loglog_eval, _lux_rows)
+from qnlab.measure import _row_max, _wsum
 from oracles import lux_level_sum, lux_oracle
 
 SQUARE = OrliczFunction(name="square", evaluator=lambda t: np.asarray(t) ** 2,
@@ -252,3 +256,207 @@ def test_loglog_kernel_is_finite_on_subnormals():
     one = luxemburg(phi, ScalarField(np.array([1.0])))
     assert luxemburg(phi, ScalarField(np.array([1.0, 1e-310]))) == one
     assert luxemburg(phi, ScalarField(np.array([1e300, 1e-10]))) == one * 1e300
+
+
+# ---------------------------------------------------------------------------
+# weights
+# ---------------------------------------------------------------------------
+
+def test_luxemburg_refuses_weights_that_make_no_measure_space():
+    # negative, NaN, infinite and zero weights, and weights of the wrong length
+    phi, f = KERNELS["loglog"], ScalarField(np.array([1.0, 2.0]))
+    for w in ([-1.0, 1.0], [math.nan, 1.0], [1.0, math.inf], [0.0, 0.0], [0.0, 1.0],
+              [1.0], [1.0, 1.0, 1.0], []):
+        with pytest.raises(InputError):
+            luxemburg(phi, f, weights=w)
+    assert luxemburg(phi, f, weights=[1.0, 1.0]) == luxemburg(phi, f)
+
+
+# ---------------------------------------------------------------------------
+# the two step loops give the same bits
+# ---------------------------------------------------------------------------
+
+def vector_lux_rows(phi, rows, weights, tol):
+    """`_lux_rows` as it was when every batch stepped as numpy arrays."""
+    out = np.zeros(rows.shape[0])
+    scale = _row_max(rows)
+    act = np.flatnonzero(scale > 0)
+    if act.size == 0:
+        return out
+    a = rows[act] / scale[act, None]
+    per = max(1, _LUX_CHUNK // a.shape[1])
+
+    def level(q):
+        return np.log(np.maximum(_wsum(phi(q), weights), 1e-300))
+
+    def price(q):
+        if len(q) <= per:
+            return level(q)
+        return np.concatenate([level(q[s:s + per]) for s in range(0, len(q), per)])
+
+    one = a.shape[0] * _LUX_X.size <= per
+    cols = slice(None) if one else _LUX_COARSE
+    lev = np.full((a.shape[0], _LUX_X.size), np.nan)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = _LUX_X[cols]
+        lev[:, cols] = price((a[:, None, :] / np.exp2(x)[:, None]).reshape(-1, a.shape[1])
+                             ).reshape(-1, x.size)
+        g = np.logical_and.accumulate(~(lev[:, _LUX_COARSE] <= 0.0), axis=1).sum(axis=1)
+        lev[_LUX_GROUP < g[:, None]] = np.nan
+        if not one:
+            r, j = np.nonzero((_LUX_GROUP == g[:, None]) & ~_LUX_COARSE)
+            lev[r, j] = price(a[r] / np.exp2(_LUX_X[j, None]))
+        k = np.argmax(lev <= 0.0, axis=1)
+        if not np.all(lev[np.arange(k.size), k] <= 0.0):
+            raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
+        act, a, lev, k = act[k > 0], a[k > 0], lev[k > 0], k[k > 0]
+        i = np.arange(k.size)
+        tl, th, yl, yh = np.exp2(_LUX_X[k - 1]), np.exp2(_LUX_X[k]), lev[i, k - 1], lev[i, k]
+        yp = np.full(k.size, np.inf)
+        width = math.log1p(tol) / math.log(2.0)
+        close = width * (1.0 - 2.0 ** -50) - 2.0 ** -50
+        whole = math.log2((_LUX_X[-1] - _LUX_X[0]) / max(width, 1e-300))
+        for left in range(max(0, min(math.ceil(whole), 63)), -1, -1):
+            d = np.log2(th / tl)
+            done = d <= (close if left else math.inf)
+            if np.count_nonzero(done):
+                out[act[done]] = scale[act[done]] * np.sqrt(tl[done] * th[done])
+                act, a, tl, th, yl, yh, yp, d = (v[~done] for v in (act, a, tl, th, yl, yh, yp, d))
+            if not act.size:
+                break
+            s = np.fmin(np.fmax(d - d * (yh / (yh - yl)), 0.5 * close), d - 0.5 * close)
+            lim = close * 2.0 ** (left - 1)
+            if d.max() > lim:
+                s = np.where(d > lim, 0.5 * d, s)
+            t = tl * np.exp2(s)
+            y = level(a / t[:, None])
+            q = y / yp
+            m = np.where(q < 1.0, np.fmin(1.0 - q, 1.0), 0.5)
+            down = y <= 0.0
+            tl, yl, yp = np.where(down, tl, t), np.where(down, m * yl, y), y
+            th, yh = np.where(down, t, th), np.where(down, y, m * yh)
+    return out
+
+
+# convex, and its level sums overflow near its roots: with a = 1, a root
+# lies near t = 2^-7.5, in the start-grid interval [2^-12, 2^-6], and at
+# t = 2^-12 both exponentials of a/t = 4096 are inf, so the level sum at the
+# bracket bottom is NaN; between a/t = 1420 and 2839 it is inf
+STEEP = OrliczFunction(name="steep", claimed_concave=False,
+                       evaluator=lambda t: 1e-40 * (np.expm1(np.asarray(t) / 2.0)
+                                                    - np.expm1(np.asarray(t) / 4.0)))
+# phi(t) = 1e-5 t, but inf for t in (5e4, 2e5), beyond the checked grid: the
+# first secant step of a row [1] lands at t = 1e-5, where the level sum is
+# inf, as it was at the first step's start (yp = inf), so q = inf / inf is NaN
+BAND = OrliczFunction(name="band", claimed_concave=False,
+                      evaluator=lambda t: np.where((np.asarray(t) > 5e4) & (np.asarray(t) < 2e5),
+                                                   np.inf, 1e-5 * np.asarray(t)))
+STEP_KERNELS = dict(KERNELS, steep=STEEP, band=BAND)
+
+
+@st.composite
+def few_row_batch(draw):
+    """1-40 rows (on both sides of _LUX_FEW) of 1-12 atoms over 1e+-300."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    exps = np.array(draw(st.lists(st.floats(-300.0, 300.0), min_size=m * n, max_size=m * n)))
+    rows = 10.0 ** exps.reshape(m, n)
+    holes = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+    rows[holes.reshape(m, n)] = 0.0
+    rows[draw(st.lists(st.integers(0, m - 1), max_size=2))] = 0.0  # zero rows
+    weights = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
+    return rows, weights
+
+
+@settings(max_examples=100)
+@given(batch=few_row_batch(), name=st.sampled_from(sorted(STEP_KERNELS)),
+       tol=st.sampled_from((1e-13, 1e-6, 10.0, 1e-16)))
+def test_step_loops_give_the_vector_loop_bits(batch, name, tol):
+    rows, weights = batch
+    phi = STEP_KERNELS[name]
+    try:
+        want = vector_lux_rows(phi, rows, weights, tol)
+    except GaugeDefinitionError:
+        with pytest.raises(GaugeDefinitionError):
+            _lux_rows(phi, rows, weights, tol)
+        return
+    got = _lux_rows(phi, rows, weights, tol)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    for row, v in zip(rows, got.tolist()):
+        assert _lux_rows(phi, row[None, :], weights, tol)[0].hex() == v.hex()
+
+
+def test_float_division_follows_numpy():
+    vals = (0.0, -0.0, 1.0, -2.5, 5e-324, math.inf, -math.inf, math.nan)
+    with np.errstate(all="ignore"):
+        for a in vals:
+            for b in vals:
+                want = float(np.float64(a) / np.float64(b))
+                got = _fdiv(a, b)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (a, b)
+
+
+def test_few_rows_step_on_floats_and_more_in_numpy():
+    # both sides of the switch: 2 and _LUX_FEW rows step on floats, one more
+    # as arrays; on the band kernel the row [1, 0.5, 0] meets q = inf / inf,
+    # and on the square kernel at tol 1e-15 the row [6.68, 5.91, 2.94] a q >= 1
+    rng = np.random.default_rng(19)
+    rows, w = np.exp(rng.uniform(-3.0, 3.0, size=(_LUX_FEW + 1, 3))), np.ones(3)
+    rows[:2] = (1.0, 0.5, 0.0), (6.68, 5.91, 2.94)
+    for m in (2, _LUX_FEW, _LUX_FEW + 1):
+        for phi in STEP_KERNELS.values():
+            for tol in (1e-13, 1e-15):
+                got, want = _lux_rows(phi, rows[:m], w, tol), vector_lux_rows(phi, rows[:m], w, tol)
+                assert got.tobytes() == want.tobytes(), (m, phi.name, tol)
+
+
+# float.hex of one-row and few-row solves, captured when every batch
+# stepped as numpy arrays; [1, 1.58e-4] on the rational kernel bisects
+# to the step cap (49 phi calls at luxemburg's tol 1e-12, 52 at 1e-13)
+def _one(phi, row, **kw):
+    return [luxemburg(phi, ScalarField(np.array(row)), **kw)]
+
+
+def _rows(phi, rows, w, tol=1e-13):
+    return list(gauge_values_rows(Orlicz(phi, tol=tol), MeasureSpace(np.array(w)), np.array(rows)))
+
+
+PINNED = {
+    "loglog-one": (lambda L, R: _one(L, [1.0]), ["0x1.6b9d60451d0a8p+0"]),
+    "loglog-three": (lambda L, R: _one(L, [2.0, 0.5, 1e-3]), ["0x1.1b112b5fbad88p+2"]),
+    "loglog-far": (lambda L, R: _one(L, [1e300, 1e-10]), ["0x1.0f7a8e500fe19p+997"]),
+    "loglog-heavy": (lambda L, R: _one(L, [1.0, 0.5, 0.2], weights=np.full(3, 1e9)),
+                     ["0x1.3ae19b45d0821p+35"]),
+    "loglog-tight": (lambda L, R: _one(L, [1.0, 0.3], tol=1e-15, weights=np.full(2, 1e30)),
+                     ["0x1.2f3a84cc8d752p+106"]),
+    "loglog-wide-tol": (lambda L, R: _one(L, [2.0, 0.5, 1e-3], tol=10.0),
+                        ["0x1.6a09e667f3bcdp+2"]),
+    "rational-fallback": (lambda L, R: _one(R, [1.0, 1.58e-4]), ["0x1.9be32ae3a6860p-7"]),
+    "rational-fallback-gauge": (lambda L, R: _rows(R, [[1.0, 1.58e-4]], [1.0, 1.0]),
+                                ["0x1.9be32ae3a74d0p-7"]),
+    "rational-near": (lambda L, R: _one(R, [1.0, 1e-2]), ["0x1.99999999998fep-4"]),
+    "rational-weighted": (lambda L, R: _one(R, [0.3, 1.7, 2.9], tol=1e-9,
+                                            weights=np.array([0.5, 1.0, 2.0])),
+                          ["0x1.47bec17df4775p+2"]),
+    "loglog-4x3": (lambda L, R: _rows(L, [[0.3, 1.7, 2.9], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                          [1e-200, 3e-201, 1e-210]], [0.5, 1.0, 2.0]),
+                   ["0x1.196c7c3dbdfa0p+4", "0x1.330889d18da55p-1", "0x0.0p+0",
+                    "0x1.f388db3f95593p-665"]),
+    "rational-2x2": (lambda L, R: _rows(R, [[1.0, 1.0], [5.0, 0.25]], [1.0, 1.0], tol=1e-6),
+                     ["0x1.fffff79c8487bp-1", "0x1.1e377fe8d5d74p+0"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_few_row_solves_are_pinned_bitwise(name):
+    solve, want = PINNED[name]
+    assert [v.hex() for v in solve(KERNELS["loglog"], KERNELS["rational"])] == want
+
+
+def test_rational_row_near_the_fallback_makes_52_phi_calls():
+    # the steps close in on the root from above only, with m near 1, and the
+    # bisection fallback then runs to the step cap; [1, 1e-2] takes 7 calls
+    space = MeasureSpace(np.ones(2))
+    for row, want in (([1.0, 1.58e-4], 52), ([1.0, 1e-2], 7)):
+        calls = []
+        gauge_values_rows(Orlicz(counting(KERNELS["rational"], calls)), space, np.array([row]))
+        assert len(calls) == want, row

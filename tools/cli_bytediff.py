@@ -31,6 +31,8 @@ W3 = '{"weights": [0.5, 1.0, 2.0]}'
 F3 = '{"values": [0.3, -1.7, 2.9], "signed": true}'
 LP = '{"kind": "lp", "p": 0.5}'
 LOGLOG = '{"kind": "orlicz", "phi": "loglog"}'
+RATIONAL = '{"kind": "orlicz", "phi": "rational"}'
+W2 = '{"weights": [1.0, 2.0]}'
 REP = ('{"xs": [[1, 0.5], [-0.3, 2]], "fs": [[1, 2, 0.5], [0.2, -1, 3]],'
        ' "target": {"kind": "lq", "dim": 2, "q": 0.5}, "lam": {"kind": "lp", "p": 1}}')
 
@@ -53,6 +55,9 @@ COMMANDS = [
     ("eval-loglog", _eval(LOGLOG)),
     ("eval-rational", _eval('{"kind": "orlicz", "phi": "rational", "tol": 1e-9}')),
     ("eval-power", _eval('{"kind": "orlicz", "phi": "power", "p": 0.5}')),
+    # a row whose Luxemburg solve bisects to the step cap (52 phi calls)
+    ("eval-rational-fallback", ["eval", "--gauge", RATIONAL, "--space", '{"weights": [1.0, 1.0]}',
+                                "--field", '{"values": [1.0, 1.58e-4]}']),
     ("eval-convexified-lp", _eval('{"kind": "convexified", "base": %s, "r": 2}' % LP)),
     ("eval-convexified-loglog", _eval('{"kind": "convexified", "base": %s, "r": 1.5}' % LOGLOG)),
     ("eval-intersect", _eval('{"kind": "intersect", "g1": %s, "g2": {"kind": "weak_l1"},'
@@ -75,8 +80,12 @@ COMMANDS = [
     ("tensor-norm-rank1", ["tensor-norm", "--rep", REP_RANK1, "--space", W3, "--budget", "200"]),
     ("envelope-loglog", ["envelope", "--gauge", LOGLOG, "--p", "0.5", "--space", W3,
                          "--field", F3, "--budget", "6"]),
+    ("envelope-rational", ["envelope", "--gauge", RATIONAL, "--p", "0.5", "--space", W2,
+                           "--field", '{"values": [0.3, 1.7]}', "--budget", "6"]),
     ("envelope-lp", ["envelope", "--gauge", LP, "--p", "0.5", "--space", W3, "--field", F3]),
     ("dual-loglog", ["dual", "--gauge", LOGLOG, "--space", W3, "--field", F3, "--budget", "20"]),
+    # 20 one-row Luxemburg solves in the hill climb
+    ("dual-rational", ["dual", "--gauge", RATIONAL, "--space", W3, "--field", F3, "--budget", "20"]),
     ("dual-lp", ["dual", "--gauge", '{"kind": "lp", "p": 3}', "--space", W3, "--field", F3]),
     ("ftc", ["ftc", "--cells", "32", "--samples", "0,5,31", "--scales", "0.25,0.125,2"]),
     ("suite-amenability", ["suite", "--name", "amenability", "--trials", "5"]),
