@@ -31,9 +31,9 @@ from .measure import (
     MeasureSpace,
     Partition,
     ScalarField,
+    _block_means,
     _check_same_length,
     _lp_rows,
-    conditional_expectation,
     counting_space,
     trivial_partition,
 )
@@ -420,8 +420,9 @@ def leveling_constant_probe(
         cand.append((random_values(rng, n, style), random_partition(rng, n)))
 
     cand = cand[: int(trials)]
-    # the leveled fields, then the fields, priced in one row call
-    rows = np.array([conditional_expectation(space, part, ScalarField(vals)).values
+    # the leveled fields, then the fields, priced in one row call; the fields
+    # and partitions were drawn above, so they skip conditional_expectation's checks
+    rows = np.array([_block_means(space.weights, part.blocks, vals[:, None])[:, 0]
                      for vals, part in cand] + [vals for vals, _ in cand]).reshape(-1, n)
     ratios = _ratios(*gauge_values_rows(g, space, rows).reshape(2, -1))
     best = float(ratios.max(initial=0.0))

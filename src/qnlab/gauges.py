@@ -15,7 +15,9 @@ Available kinds:
                      two rounds (coarse points, then one group), then
                      closed to relative width tol by an Anderson-Bjorck
                      iteration on log2 t with a bisection fallback (power
-                     kernels: the Lp closed form)
+                     kernels: the Lp closed form); a batch of at most
+                     _LUX_FEW nonzero rows is solved on Python floats, a
+                     larger one in numpy, to the same bits
   Convexified(g, r)  g(|f|^r)^(1/r)
   Intersect(g1, g2)  inf{g1(u) + g2(v) : |f| = u + v, u, v >= 0},
                      estimated by per-atom splitting (upper bound)
@@ -68,15 +70,21 @@ _LUX_T = np.exp2(_LUX_X)
 # group 3 to the top)
 _LUX_COARSE = np.isin(_LUX_X, (-12.0, 0.0, 12.0))
 _LUX_GROUP = np.searchsorted(_LUX_X[_LUX_COARSE], _LUX_X, side="right")
+# the grid as the float solver reads it: as Python floats, with group g's
+# first index (its g-th coarse point; 0 for group 0) and its other points
+_LUX_TF = _LUX_T.tolist()
+_LUX_FIRST = np.searchsorted(_LUX_GROUP, np.arange(4)).tolist()
+_LUX_REST = [np.flatnonzero((_LUX_GROUP == g) & ~_LUX_COARSE).tolist() for g in range(4)]
 _LUX_CHUNK = 1 << 16  # start-grid points priced per phi call
-# a batch with at most this many rows left after the start grid steps on
-# Python floats (`_lux_few_steps`), a larger one in numpy: the largest size
-# at which the float loop was faster at every row width measured.  Float time
-# over numpy time on 2 cores, loglog and rational rows with entries in e^+-3,
-# at 10, 12, 14 and 16 rows: 0.85, 0.97, 0.96, 1.01 (n = 2); 0.83, 0.85,
-# 0.93, 0.97 (n = 6); 0.88, 0.91, 0.95, 1.03 (n = 16); 0.91, 0.94, 0.97,
-# 1.03 (n = 128)
-_LUX_FEW = 14
+# a batch with at most this many nonzero rows is solved on Python floats
+# (`_lux_few`), a larger one in numpy: the largest size at which the float
+# solver was faster at every row width measured (18 in two runs, 19 with a
+# ratio of 1.00 at n = 128 in a third).  Float time over numpy time from
+# `python3 tools/lux_crossover.py --repeat 15 --number 30` on 2 cores (loglog
+# and rational rows with entries in e^+-3), at 14, 16, 18, 20 and 22 rows:
+# 0.85, 0.92, 0.94, 0.99, 1.05 (n = 2); 0.83, 0.88, 0.92, 0.97, 0.99 (n = 6);
+# 0.85, 0.94, 0.96, 1.00, 1.04 (n = 16); 0.92, 0.96, 0.98, 1.01, 1.03 (n = 128)
+_LUX_FEW = 18
 
 
 # ---------------------------------------------------------------------------
@@ -249,27 +257,39 @@ def _lux_rows(
     steps run out (only for tol near the float resolution), and gets
     scale * sqrt(lo * hi).
 
-    The start grid is one vectorized phase for every batch; the steps run
-    in one of two loops, chosen by the number of rows left after it.  Up to
-    _LUX_FEW rows step on Python floats (`_lux_few_steps`), where the dozens
-    of numpy dispatches a vector step makes would cost more than its
-    arithmetic; more rows step as numpy arrays.  Both loops take the same
-    IEEE operations in the same order: +, -, *, / and sqrt round alike in
-    Python and numpy, and phi, the level sums, log, log2 and exp2 are numpy
-    calls on arrays in both.  So the two loops give the same bits.
+    Two self-contained solvers carry this rule from the start grid to the
+    values, chosen by the number of nonzero rows alone, before the grid is
+    priced.  Up to _LUX_FEW of them go to `_lux_few`, which reads the grid
+    and steps on per-row Python floats, where the dozens of numpy dispatches
+    the vector code makes would cost more than its arithmetic; more go
+    through the vector start and step loop below.  Both price the same
+    points, stacked in the same order, in the same `price` calls, so they
+    make the same phi calls on the same arrays; and both take the same IEEE
+    operations in the same order: +, -, *, / and sqrt round alike in Python
+    and numpy, and phi, the level sums, log, log2 and exp2 are numpy calls
+    on arrays in both.  So the two give the same bits.
 
     A row's value depends only on the row, never on the rows batched with
     it: the row max comes from `measure._row_max`, each level sum from
     `measure._wsum`, one loop per row, whose error is at most (n - 1) u S
-    (u = 2^-53) on top of phi's own, and both step loops give the same bits.
+    (u = 2^-53) on top of phi's own, and both solvers give the same bits.
     """
     out = np.zeros(rows.shape[0])
     scale = _row_max(rows)
-    act = np.flatnonzero(scale > 0)
+    act = (scale > 0).nonzero()[0]
     if act.size == 0:
         return out
-    a = rows[act] / scale[act, None]
+    a = rows / scale[:, None] if act.size == scale.size else rows[act] / scale[act, None]
     per = max(1, _LUX_CHUNK // a.shape[1])
+    # a width log2(hi/lo) at most `close` certifies hi/lo <= 1 + tol after rounding;
+    # the steps are as many as bisecting the whole range to log2(1 + tol)
+    # takes, which suffices to halve the widest grid interval down to it,
+    # but never more than 63 (a tol below the float resolution bisects as
+    # far as that goes)
+    width = math.log1p(tol) / math.log(2.0)
+    close = width * (1.0 - 2.0 ** -50) - 2.0 ** -50
+    whole = math.log2((_LUX_X[-1] - _LUX_X[0]) / max(width, 1e-300))
+    steps = max(0, min(math.ceil(whole), 63))
 
     # a level sum S becomes y = ln max(S, 1e-300): the tests `<= 0` below read
     # a NaN sum as above 1, y is never -inf, and the secant, written from the
@@ -284,11 +304,14 @@ def _lux_rows(
         return np.concatenate([level(q[s:s + per]) for s in range(0, len(q), per)])
 
     one = a.shape[0] * _LUX_X.size <= per
-    cols = slice(None) if one else _LUX_COARSE
-    lev = np.full((a.shape[0], _LUX_X.size), np.nan)
     # overflow in phi or in a / t reads as a level sum of inf, and q = y / yp
     # below may divide by a last y of 0 (S = 1) or take inf / inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if act.size <= _LUX_FEW:
+            _lux_few(level, price, a, act, scale, one, close, steps, out)
+            return out
+        cols = slice(None) if one else _LUX_COARSE
+        lev = np.full((a.shape[0], _LUX_X.size), np.nan)
         tc = _LUX_T[cols]
         lev[:, cols] = price((a[:, None, :] / tc[:, None]).reshape(-1, a.shape[1])
                              ).reshape(-1, tc.size)
@@ -307,18 +330,6 @@ def _lux_rows(
         if not k.all():
             act, a, k, at, yh = (v[k > 0] for v in (act, a, k, at, yh))
         tl, th, yl = _LUX_T[k - 1], _LUX_T[k], lev.ravel()[at - 1]
-        # a width log2(hi/lo) at most `close` certifies hi/lo <= 1 + tol after rounding;
-        # the steps are as many as bisecting the whole range to log2(1 + tol)
-        # takes, which suffices to halve the widest grid interval down to it,
-        # but never more than 63 (a tol below the float resolution bisects as
-        # far as that goes)
-        width = math.log1p(tol) / math.log(2.0)
-        close = width * (1.0 - 2.0 ** -50) - 2.0 ** -50
-        whole = math.log2((_LUX_X[-1] - _LUX_X[0]) / max(width, 1e-300))
-        steps = max(0, min(math.ceil(whole), 63))
-        if 0 < act.size <= _LUX_FEW:
-            _lux_few_steps(level, a, act, scale, tl, th, yl, yh, close, steps, out)
-            return out
         yp = np.full(k.size, np.inf)  # the y of the last step (inf before the first)
         for left in range(steps, -1, -1):
             d = np.log2(th / tl)
@@ -357,19 +368,45 @@ def _fdiv(a: float, b: float) -> float:
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _lux_few_steps(level, a, act, scale, tl, th, yl, yh, close, steps, out) -> None:
-    """The step loop of `_lux_rows` on per-row Python floats, for a few rows.
+def _lux_few(level, price, a, act, scale, one, close, steps, out) -> None:
+    """`_lux_rows` on per-row Python floats, for at most _LUX_FEW nonzero rows.
 
-    Takes the state the start grid leaves, the rows `act` of `out` with their
-    scaled rows a, brackets [tl, th] and ys, and writes each row's value to
-    out.  Each step makes three numpy calls on arrays: log2 of the widths,
-    exp2 of the steps and `level`; every other operation is the vector
-    loop's IEEE arithmetic, in its order, on one row's floats, with numpy's
-    rules where Python's differ: a division by 0 gives +-inf or NaN
-    (`_fdiv`), fmax(NaN, h) is h, a NaN q gives m = 1/2, and a NaN y is
-    above 1.  So every value has the vector loop's bits.
+    Takes the scaled nonzero rows a (the rows `act` of out), the row maxima
+    `scale`, whether the whole grid fits one call (`one`), the closing width
+    and the step count, and writes each row's value to out.  The start grid
+    is priced as the vector code prices it, the same points stacked in the
+    same order, and read on floats by the same rule: g is the index of the
+    first coarse point at or below 1 (3 if none is), and k the first point
+    at or below 1 from group g's first point on.  Each step then makes three
+    numpy calls on arrays: log2 of the widths, exp2 of the steps and
+    `level`; every other operation is the vector loop's IEEE arithmetic, in
+    its order, on one row's floats, with numpy's rules where Python's
+    differ: a division by 0 gives +-inf or NaN (`_fdiv`), fmax(NaN, h) is h,
+    a NaN q gives m = 1/2, and a NaN y is above 1.  So every value has the
+    vector code's bits.
     """
-    tl, th, yl, yh, sc = tl.tolist(), th.tolist(), yl.tolist(), yh.tolist(), scale[act].tolist()
+    cols = slice(None) if one else _LUX_COARSE
+    lev = np.full((len(act), _LUX_X.size), np.nan)
+    lev[:, cols] = price((a[:, None, :] / _LUX_T[cols][:, None]).reshape(-1, a.shape[1])
+                         ).reshape(len(act), -1)
+    lev = lev.tolist()
+    g = [next((c for c, j in enumerate(_LUX_FIRST[1:]) if row[j] <= 0.0), 3) for row in lev]
+    if not one:  # group g's other points, row after row
+        r = [i for i, gi in enumerate(g) for _ in _LUX_REST[gi]]
+        j = [j for gi in g for j in _LUX_REST[gi]]
+        for i, jj, v in zip(r, j, price(a[r] / _LUX_T[j, None]).tolist()):
+            lev[i][jj] = v
+    k = [next((j for j in range(_LUX_FIRST[gi], _LUX_X.size) if row[j] <= 0.0), None)
+         for gi, row in zip(g, lev)]
+    if None in k:
+        raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
+    keep = [i for i, ki in enumerate(k) if ki]  # rows with k = 0 keep the value 0
+    if not keep:
+        return
+    act, a = act[keep], a[keep]
+    tl, th = [_LUX_TF[k[i] - 1] for i in keep], [_LUX_TF[k[i]] for i in keep]
+    yl, yh = [lev[i][k[i] - 1] for i in keep], [lev[i][k[i]] for i in keep]
+    sc, act = scale[act].tolist(), act.tolist()
     yp = [math.inf] * len(tl)
     half = 0.5 * close
     for left in range(steps, -1, -1):
@@ -382,8 +419,9 @@ def _lux_few_steps(level, a, act, scale, tl, th, yl, yh, close, steps, out) -> N
                     out[act[i]] = sc[i] * math.sqrt(tl[i] * th[i])
             if not keep:
                 return
-            act, a = act[keep], a[keep]
-            tl, th, yl, yh, yp, d, sc = ([v[i] for i in keep] for v in (tl, th, yl, yh, yp, d, sc))
+            a = a[keep]
+            act, tl, th, yl, yh, yp, d, sc = ([v[i] for i in keep]
+                                              for v in (act, tl, th, yl, yh, yp, d, sc))
         # the vector loop's s = fmin(fmax(d - d yh / (yh - yl), close/2), d - close/2),
         # or d/2 where d > lim
         lim = close * 2.0 ** (left - 1)
@@ -392,14 +430,17 @@ def _lux_few_steps(level, a, act, scale, tl, th, yl, yh, close, steps, out) -> N
             if dv > lim:
                 s.append(0.5 * dv)
                 continue
-            r = dv - dv * _fdiv(hi, hi - lo)
+            den = hi - lo
+            r = dv - dv * (hi / den if den else _fdiv(hi, den))
             r = r if r >= half else half
-            s.append(min(r, dv - half))
+            x = dv - half
+            s.append(x if x < r else r)
         t = [lo * e for lo, e in zip(tl, np.exp2(s).tolist())]
         y = level(a / np.array(t)[:, None]).tolist()
         for i, v in enumerate(y):  # the vector loop's q, m and bracket update
-            q = _fdiv(v, yp[i])
-            m = min(1.0 - q, 1.0) if q < 1.0 else 0.5
+            p = yp[i]
+            q = v / p if p else _fdiv(v, p)
+            m = (1.0 - q if q > 0.0 else 1.0) if q < 1.0 else 0.5
             yp[i] = v
             if v <= 0.0:
                 th[i], yh[i], yl[i] = t[i], v, m * yl[i]

@@ -165,9 +165,9 @@ class ScalarField:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise InputError("scalar field values must be 1-d")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InputError("scalar field values must be finite")
-        if not self.signed and np.any(v < 0):
+        if not self.signed and (v < 0).any():
             raise InputError("negative values in an unsigned scalar field")
         object.__setattr__(self, "values", v)
 
@@ -190,7 +190,7 @@ class VectorField:
             raise InputError(
                 f"vector dimension {v.shape[1]} does not match target dim {self.target.dim}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InputError("vector field entries must be finite")
         object.__setattr__(self, "vectors", v)
 
@@ -283,23 +283,34 @@ def weak_l1_value(space: MeasureSpace, f: ScalarField) -> float:
 # conditional expectation
 # ---------------------------------------------------------------------------
 
+def _block_means(weights: np.ndarray, blocks, cols: np.ndarray) -> np.ndarray:
+    """Each block's rows of the (n, d) array cols replaced by their w-weighted
+    mean w @ block / sum(w), or kept bit for bit where the block is constant;
+    the blocks must partition range(n)."""
+    out = np.empty_like(cols)
+    for b in blocks:
+        idx = np.asarray(b, dtype=int)
+        w, block = weights[idx], cols[idx]
+        out[idx] = block[0] if (block == block[0]).all() else w @ block / w.sum()
+    return out
+
+
 def conditional_expectation(space: MeasureSpace, partition: Partition, f: Field) -> Field:
     """Block-averaging projection: each block gets its mass-weighted mean.
 
     Constant blocks are mapped to the same constant bit-for-bit, so applying
-    the projection twice equals applying it once exactly.
+    the projection twice equals applying it once exactly.  The means come
+    from `_block_means`, which `convexity.leveling_constant_probe` calls
+    too, on partitions it drew itself, so only this function validates the
+    partition and the field first.
     """
     partition.validate_for(space)
     _check_same_length(space, f)
     if not isinstance(f, (ScalarField, VectorField)):
         raise InputError(f"unsupported field type {type(f).__name__}")
     # a scalar field is averaged as a one-column vector field
-    cols = f.values[:, None] if isinstance(f, ScalarField) else f.vectors
-    out = np.empty_like(cols)
-    for b in partition.blocks:
-        idx = np.asarray(b, dtype=int)
-        w, block = space.weights[idx], cols[idx]
-        out[idx] = block[0] if np.all(block == block[0]) else w @ block / np.sum(w)
+    out = _block_means(space.weights, partition.blocks,
+                       f.values[:, None] if isinstance(f, ScalarField) else f.vectors)
     if isinstance(f, VectorField):
         return VectorField(out, f.target)
     out = out[:, 0]

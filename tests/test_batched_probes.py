@@ -158,6 +158,41 @@ def test_leveling_probe_matches_loop_and_witness(g, rel):
                                          rel=rel)
 
 
+def leveling_by_conditional_expectation(g, space, trials, seed):
+    """The probe as it was when every leveled field came from conditional_expectation,
+    candidate by candidate: (value, witness values, witness blocks)."""
+    n = len(space)
+    cand = [(np.eye(n)[k], trivial_partition(space)) for k in range(n)]
+    cand.append((np.ones(n), trivial_partition(space)))
+    rng = np.random.default_rng(seed)
+    while len(cand) < trials:
+        style = ("uniform", "spiky", "sparse")[len(cand) % 3]
+        cand.append((random_values(rng, n, style), random_partition(rng, n)))
+    cand = cand[:trials]
+    rows = np.array([conditional_expectation(space, part, ScalarField(vals)).values
+                     for vals, part in cand] + [vals for vals, _ in cand]).reshape(-1, n)
+    leveled, fields = gauge_values_rows(g, space, rows).reshape(2, -1)
+    ratios = np.where(fields > 0, leveled / np.where(fields > 0, fields, 1.0), 0.0)
+    vals, part = cand[int(np.argmax(ratios))]
+    return float(ratios.max(initial=0.0)), vals, part.blocks
+
+
+def test_leveling_probe_equals_the_conditional_expectation_loop_bitwise():
+    # the probe's leveled fields skip conditional_expectation's checks, on
+    # fields and partitions it drew itself, and must keep its bits
+    for g in (Lp(0.5), Orlicz(builtin_phi("loglog")), WeakL1()):
+        for n in (1, 2, 5):
+            weighted = MeasureSpace(np.linspace(0.4, 2.1, n))
+            for space in (counting_space(n), weighted):
+                for trials, seed in ((n + 2, 3), (n + 9, 8), (40, 1)):
+                    br = leveling_constant_probe(g, space, trials=trials, seed=seed)
+                    value, vals, blocks = leveling_by_conditional_expectation(g, space, trials,
+                                                                              seed)
+                    assert br.value.hex() == value.hex(), (g.label(), n, trials)
+                    f, part = br.witness
+                    assert f.values.tobytes() == vals.tobytes() and part.blocks == blocks
+
+
 def test_leveling_probe_makes_one_row_call(row_calls):
     # the leveled fields and the fields are priced together
     calls = row_calls(Lp)

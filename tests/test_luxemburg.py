@@ -5,8 +5,9 @@ from qnlab by math.fsum, exceeds 1 at v/sqrt(1+tol) and does not at
 v*sqrt(1+tol).  It must agree with the brentq oracle, and a counting
 kernel shows how many phi calls a solve makes: never more than bisecting
 the whole bracket would, and about ten on typical rows.  Few-row batches
-step on Python floats and larger ones as numpy arrays; both must give the
-bits of a copy of the vector loop, and a few solves are pinned bitwise.
+are solved on Python floats, from the start grid on, and larger ones as
+numpy arrays; both must give the bits and the phi calls of a copy of the
+vector code, and a few solves are pinned bitwise.
 """
 import math
 
@@ -407,6 +408,87 @@ def test_few_rows_step_on_floats_and_more_in_numpy():
             for tol in (1e-13, 1e-15):
                 got, want = _lux_rows(phi, rows[:m], w, tol), vector_lux_rows(phi, rows[:m], w, tol)
                 assert got.tobytes() == want.tobytes(), (m, phi.name, tol)
+
+
+# phi(t) = t, NaN for 0 < t < 1e-50: a row with an entry 1e-60 times its max
+# has a NaN level sum, read as above 1, at every grid point
+NAN_TINY = _nan_where(lambda t: (t > 0) & (t < 1e-50))
+# phi(t) = t, but 0 beyond 1e15: a row's level sum is 0 at the grid bottom,
+# below points where it is above 1, so only the grid read by group finds the
+# root; and a lone entry has level sum exactly 1 at t = its row max, 2^0
+DROP = OrliczFunction(name="drop", claimed_concave=False,
+                      evaluator=lambda t: np.where(np.asarray(t) > 1e15, 0.0, np.asarray(t)))
+
+
+def _solver_batches():
+    """(case, phi, rows, weights) batches for both solvers."""
+    rng = np.random.default_rng(20)
+    loglog, rational = KERNELS["loglog"], KERNELS["rational"]
+    # 1-3 rows of about 6000 atoms read the grid in two rounds (12 m points
+    # > floor(2^16 / n) = 10 per call); a dense row, a spike and a sparse row
+    # have roots in different groups, and on the rational kernel the light
+    # spike's level sum stays below 1 at the grid bottom
+    for m in (1, 2, 3):
+        n = 6000 + m
+        rows = np.exp(rng.uniform(-3.0, 3.0, size=(m, n)))
+        rows[1:2, 1:] = 0.0
+        rows[2:, 50:] = 0.0
+        for phi in (loglog, rational):
+            for w in (np.ones(n), np.full(n, 1e-4), np.full(n, 1e-9)):
+                yield "two rounds", phi, rows, w
+        yield "two rounds", DROP, rows, np.ones(n)
+        bad = rows.copy()
+        bad[-1, -1] = bad[-1].max() * 1e-60
+        yield "raise", NAN_TINY, bad, np.ones(n)
+    # nonzero rows on both sides of _LUX_FEW, among zero rows; the single-atom
+    # rows of light atoms stay below 1 at the grid bottom on the rational kernel
+    for m in (1, 2, _LUX_FEW - 1, _LUX_FEW, _LUX_FEW + 1, 2 * _LUX_FEW):
+        n = int(rng.integers(1, 9))
+        rows = 10.0 ** rng.uniform(-300.0, 300.0, size=(m, n))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        rows[: m // 3, 1:] = 0.0
+        rows[np.flatnonzero(rows.max(axis=1) == 0.0), 0] = 1.0
+        w = rng.uniform(0.25, 4.0, size=n)
+        w[0] = 0.5
+        for pad in (0, 3):
+            padded = np.insert(rows, rng.integers(0, m + 1, size=pad), 0.0, axis=0)
+            for phi in (loglog, rational, STEEP, BAND, DROP):
+                yield "switch", phi, padded, w
+            # one more atom, where one nonzero row gets an entry 1e-70 times its max
+            bad = np.hstack([padded, np.zeros((len(padded), 1))])
+            i = np.flatnonzero(padded.max(axis=1))[-1]
+            bad[i, -1] = 1e-70 * padded[i].max()
+            yield "raise", NAN_TINY, bad, np.append(w, 1.0)
+
+
+def test_float_solver_gives_the_vector_bits_and_phi_calls():
+    # every batch: the same values bit for bit, or GaugeDefinitionError on
+    # both sides, after the same phi calls on arrays of the same sizes
+    seen = set()
+    for case, phi, rows, w in _solver_batches():
+        for tol in (1e-13, 1e-6, 1e-16):
+            sides = []
+            for solve in (_lux_rows, vector_lux_rows):
+                calls = []
+                try:
+                    got = solve(counting(phi, calls), rows, w, tol).tobytes()
+                except GaugeDefinitionError:
+                    got = None
+                sides.append((got, calls))
+            assert sides[0] == sides[1], (case, phi.name, rows.shape, tol)
+            got, calls = sides[0]
+            nonzero = int(np.count_nonzero(rows.max(axis=1)))
+            if case == "two rounds":
+                assert calls[0] == 3 * nonzero * rows.shape[1]
+            if got is None:
+                seen.add(("raise", nonzero <= _LUX_FEW))
+            elif 0.0 in np.frombuffer(got)[rows.max(axis=1) > 0]:
+                seen.add("zero at the bottom" + (" (two rounds)" if case == "two rounds" else ""))
+            seen.add((case, nonzero <= _LUX_FEW, nonzero < rows.shape[0]))
+    assert seen >= {("raise", True), ("raise", False), "zero at the bottom",
+                    "zero at the bottom (two rounds)", ("two rounds", True, False),
+                    ("switch", True, True), ("switch", False, True), ("switch", True, False),
+                    ("switch", False, False)}
 
 
 # float.hex of one-row and few-row solves, captured when every batch

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,38 @@ def test_vector_field_shape_checks():
         VectorField(np.ones((2, 3)), X)
     with pytest.raises(InputError):
         VectorField(np.ones(4), X)
+
+
+def _message(make) -> str:
+    with pytest.raises(InputError) as e:
+        make()
+    return str(e.value)
+
+
+def test_field_checks_keep_their_messages_and_accept_negative_zero():
+    finite = "scalar field values must be finite"
+    negative = "negative values in an unsigned scalar field"
+    for bad in (np.nan, np.inf, -np.inf):
+        for signed in (False, True):
+            assert _message(lambda: ScalarField(np.array([1.0, bad]), signed=signed)) == finite
+    assert _message(lambda: ScalarField(np.array([0.5, -1e-300]))) == negative
+    assert _message(lambda: ScalarField(np.ones((2, 2)))) == "scalar field values must be 1-d"
+    assert _message(lambda: ScalarField(np.ones((2, 2)), signed=True)) == (
+        "scalar field values must be 1-d")
+    f = ScalarField(np.array([-0.0, 1.0]))
+    assert math.copysign(1.0, f.values[0]) == -1.0
+    X = lq_space(2, 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        assert _message(lambda: VectorField(np.array([[1.0, bad]]), X)) == (
+            "vector field entries must be finite")
+    assert _message(lambda: VectorField(np.ones(2), X)) == (
+        "vector field needs a 2-d (n_atoms, dim) array")
+    assert _message(lambda: VectorField(np.ones((2, 2, 1)), X)) == (
+        "vector field needs a 2-d (n_atoms, dim) array")
+    assert _message(lambda: VectorField(np.ones((2, 3)), X)) == (
+        "vector dimension 3 does not match target dim 2")
+    assert VectorField(np.array([[-0.0, -1.0]]), X).vectors.tobytes() == (
+        np.array([[-0.0, -1.0]]).tobytes())
 
 
 # ---------------------------------------------------------------------------
