@@ -1,9 +1,11 @@
 """Function gauges on finite atom-weighted spaces.
 
 A gauge assigns a nonnegative number to a scalar field; all gauges here
-are positively homogeneous and monotone, and each carries a modulus of
-concavity kappa (the best constant in rho(f+g) <= kappa*(rho(f)+rho(g)))
-when that constant is known in closed form.
+are positively homogeneous and monotone, and each states its modulus of
+concavity once, as `kappa`: an upper bound for the least constant in
+rho(f+g) <= kappa*(rho(f)+rho(g)), inf when none is known.  Lp(p) and
+Orlicz(power(p)) state 2^(1/p - 1) for p < 1 and 1 otherwise, WeakL1
+states 2, and every other gauge inf.
 
 Available kinds:
 
@@ -52,8 +54,8 @@ from .errors import GaugeDefinitionError, InputError
 from .measure import (MeasureSpace, ScalarField, VectorField, _check_same_length, _lp_kappa,
                       _lp_rows, _row_max, _weak_l1_rows, _wsum)
 
-# relative bracket width for the Luxemburg solve used by eval_gauge;
-# tight enough that gauge homogeneity survives at 1e-12 relative
+# the one default relative bracket width of the Luxemburg solve (Orlicz and
+# luxemburg); tight enough that gauge homogeneity survives at 1e-12 relative
 DEFAULT_LUX_TOL = 1e-13
 
 _ORLICZ_GRID = np.logspace(-9.0, 3.0, 1000)
@@ -448,31 +450,6 @@ def _lux_few(level, price, a, act, scale, one, close, steps, out) -> None:
                 tl[i], yl[i], yh[i] = t[i], v, m * yh[i]
 
 
-def luxemburg(
-    phi: OrliczFunction,
-    f: ScalarField,
-    tol: float = 1e-12,
-    weights: Optional[np.ndarray] = None,
-) -> float:
-    """Luxemburg gauge inf{t > 0 : sum_n w_n phi(|a_n|/t) <= 1}.
-
-    Counting measure unless explicit weights are given; they must be the
-    weights of a `MeasureSpace` (positive and finite) of the field's length,
-    else InputError.  The value is the geometric midpoint of a bracket
-    [lo, hi] with level sum > 1 at lo, <= 1 at hi and hi/lo <= 1 + tol, found
-    by the Anderson-Bjorck solve of `_lux_rows` in about seven phi calls.
-    Returns 0 for the zero field, and 0 when no positive t pushes the level
-    sum above 1 (bounded kernels on small supports).
-    """
-    if not 0.0 < tol < math.inf:
-        raise InputError("tolerance must be positive and finite")
-    vals = np.abs(f.values)
-    w = np.ones(vals.size) if weights is None else MeasureSpace(weights).weights
-    if w.shape != vals.shape:
-        raise InputError("weights length does not match field length")
-    return float(_lux_rows(phi, vals[None, :], w, tol)[0])
-
-
 # ---------------------------------------------------------------------------
 # gauge descriptors
 # ---------------------------------------------------------------------------
@@ -483,31 +460,15 @@ class Gauge:
     A gauge declares once what its values are: `tag` (EXACT, or UPPER for
     search upper bounds) and `tol` (the relative width an iterated value is
     solved to; None for closed forms).  Every value comes from `_value_rows`,
-    and `result` tags it with that declaration.
+    and `result` tags it with that declaration.  It states its modulus of
+    concavity once, as `kappa`, an upper bound (inf when none is known).
     """
 
     kind: str = "abstract"
     tag: Tag = Tag.EXACT
     tol: Optional[float] = None
-
-    # exact modulus of concavity, when known in closed form
-    def known_kappa(self) -> Optional[float]:
-        return None
-
-    @property
-    def kappa(self) -> float:
-        """Known exact kappa, else the trivial lower bound 1.0."""
-        k = self.known_kappa()
-        return 1.0 if k is None else k
-
-    @property
-    def kappa_exact(self) -> bool:
-        return self.known_kappa() is not None
-
-    # lattice convexity exponent when a canonical one exists
-    @property
-    def convexity_p(self) -> Optional[float]:
-        return None
+    # an upper bound for the modulus of concavity; a subclass that knows one overrides it
+    kappa: float = math.inf
 
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -532,12 +493,9 @@ class Lp(Gauge):
         if self.p <= 0:
             raise InputError("Lp gauge needs p > 0")
 
-    def known_kappa(self) -> Optional[float]:
-        return _lp_kappa(self.p)
-
     @property
-    def convexity_p(self) -> Optional[float]:
-        return min(self.p, 1.0)
+    def kappa(self) -> float:
+        return _lp_kappa(self.p)
 
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
         return _lp_rows(rows, self.p, space.weights)
@@ -549,9 +507,7 @@ class Lp(Gauge):
 @dataclass(frozen=True)
 class WeakL1(Gauge):
     kind: str = field(default="weak_l1", init=False)
-
-    def known_kappa(self) -> Optional[float]:
-        return 2.0
+    kappa = 2.0
 
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
         return _weak_l1_rows(rows, space.weights)
@@ -570,12 +526,9 @@ class Orlicz(Gauge):
         if not 0.0 < self.tol < math.inf:
             raise InputError("Luxemburg tolerance must be positive and finite")
 
-    def known_kappa(self) -> Optional[float]:
-        return None if self.phi.p is None else _lp_kappa(self.phi.p)
-
     @property
-    def convexity_p(self) -> Optional[float]:
-        return None if self.phi.p is None else min(self.phi.p, 1.0)
+    def kappa(self) -> float:
+        return math.inf if self.phi.p is None else _lp_kappa(self.phi.p)
 
     # the Luxemburg gauge of the power kernel t^p is the L_p closed form
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
@@ -596,11 +549,6 @@ class Convexified(Gauge):
     def __post_init__(self) -> None:
         if self.r <= 0:
             raise InputError("convexification exponent r must be > 0")
-
-    @property
-    def convexity_p(self) -> Optional[float]:
-        cp = self.base.convexity_p
-        return None if cp is None else min(cp * self.r, 1.0)
 
     @property
     def tag(self) -> Tag:
@@ -674,6 +622,23 @@ def gauge_values_rows(g: Gauge, space: MeasureSpace, rows: np.ndarray) -> np.nda
     if rows.ndim != 2 or rows.shape[1] != len(space):
         raise InputError("rows must be (m, n_atoms)")
     return g._value_rows(space, rows)
+
+
+def luxemburg(
+    phi: OrliczFunction,
+    f: ScalarField,
+    tol: float = DEFAULT_LUX_TOL,
+    weights: Optional[np.ndarray] = None,
+) -> float:
+    """Luxemburg gauge inf{t > 0 : sum_n w_n phi(|a_n|/t) <= 1}.
+
+    The value of `Orlicz(phi, tol)` on `MeasureSpace(weights)`, counting
+    measure when no weights are given: the same bits, the same L_p closed
+    form for power kernels, and the same InputError for a tol that is not
+    positive and finite, for weights that make no measure space of the
+    field's length, and for a value beyond the float range.
+    """
+    return Orlicz(phi, tol).value(MeasureSpace(np.ones(len(f)) if weights is None else weights), f)
 
 
 def convexify(g: Gauge, r: float) -> Convexified:
@@ -865,9 +830,9 @@ def concavity_modulus_probe(
     """Largest observed rho(f1+f2)/(rho(f1)+rho(f2)): a lower bound for kappa.
 
     Deterministic extremal shapes (disjoint halves, reversed harmonic
-    profiles, spikes) are probed first, then seeded random pairs.  When the
-    gauge's kappa is known exactly, the observed ratio is asserted never to
-    exceed it (within 1e-9 relative).
+    profiles, spikes) are probed first, then seeded random pairs.  The
+    observed ratio is asserted never to exceed the gauge's kappa, an upper
+    bound (within 1e-9 relative; never for kappa = inf).
     """
     n = len(space)
     half = max(1, n // 2)
@@ -913,10 +878,8 @@ def concavity_modulus_probe(
     best = float(ratios[j])
     best_pair = (ScalarField(rows[0, j].copy()), ScalarField(rows[1, j].copy()))
 
-    known = g.known_kappa()
-    if known is not None and best > known * (1.0 + 1e-9):
+    if best > g.kappa * (1.0 + 1e-9):
         raise AssertionError(
-            f"probe found ratio {best!r} above the exact kappa {known!r} "
-            f"for {g.label()}"
+            f"probe found ratio {best!r} above the kappa bound {g.kappa!r} for {g.label()}"
         )
     return BoundResult(best, Tag.LOWER, witness=best_pair)

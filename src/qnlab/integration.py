@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import BoundResult, Tag
 from .errors import InputError
 from .galb_tensor import TensorRep, i_map, j_map, profile_value
-from .gauges import Gauge, Lp, eval_gauge
+from .gauges import Gauge, Lp, eval_gauge, gauge_values_rows
 from .measure import MeasureSpace, ScalarField, uniform_probability_space
 from .spaces import QuasiNormedSpace
 
@@ -171,17 +171,9 @@ def rolewicz_counterexample(p: float, n: int) -> CounterexampleReport:
     space = uniform_probability_space(n)
     gauge = Lp(p)
 
-    sup_part = 0.0
-    for m in range(n):
-        part = np.zeros(n)
-        part[m] = float(n)
-        sup_part = max(sup_part, eval_gauge(gauge, space, ScalarField(part)).value)
-    riemann = np.zeros(n)
-    for m in range(n):
-        part = np.zeros(n)
-        part[m] = float(n)
-        riemann = riemann + (1.0 / n) * part
-    riemann_norm = eval_gauge(gauge, space, ScalarField(riemann)).value
+    parts = float(n) * np.eye(n)  # row m is x_m
+    sup_part = float(gauge_values_rows(gauge, space, parts).max())
+    riemann_norm = eval_gauge(gauge, space, ScalarField(space.weights @ parts)).value
     ratio = riemann_norm / sup_part
 
     expect_sup = float(n) ** (1.0 - 1.0 / p)

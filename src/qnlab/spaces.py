@@ -4,17 +4,16 @@ A target is R^dim with ||v|| = g(|v|), g a `Gauge` over counting measure on
 dim atoms: Lp(q) for `lq_space`, WeakL1 for `weak_l1_space`
 (||v|| = max_k k * v*_k, v* the decreasing rearrangement of |v|), and any
 other exact gauge the same way: an Orlicz space l_phi, a convexification, or
-a `Gauge` subclass that defines `_value_rows` and `known_kappa`.  A gauge
+a `Gauge` subclass that defines `_value_rows` and overrides `kappa`.  A gauge
 whose declared `tag` is not EXACT (an intersection, whose values are search
 upper bounds, or a convexification of one) is refused.
 
-kappa, the least constant with ||x + y|| <= kappa (||x|| + ||y||), must be an
-upper bound: the gauge's known kappa (2^(1/q - 1) for l_q with q < 1, 2 for
-weak-l1, 1 for norms), and inf when none is known.
+The space's kappa is its gauge's `kappa`: an upper bound for the least
+constant with ||x + y|| <= kappa (||x|| + ||y||) (2^(1/q - 1) for l_q with
+q < 1, 2 for weak-l1, 1 for norms), inf when none is known.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +47,7 @@ class QuasiNormedSpace:
             raise InputError("space dimension must be >= 1")
         if self.gauge.tag is not Tag.EXACT:
             raise InputError("a target norm must be exact; intersection gauges are searched")
-        k = self.gauge.known_kappa()
-        if k is not None and not k >= 1.0:
+        if not self.gauge.kappa >= 1.0:
             raise InputError("a target gauge needs kappa >= 1")
         object.__setattr__(self, "_atoms", counting_space(self.dim))
         self._validate()
@@ -71,9 +69,8 @@ class QuasiNormedSpace:
 
     @property
     def kappa(self) -> float:
-        """An upper bound for the modulus of concavity: inf when none is known."""
-        k = self.gauge.known_kappa()
-        return math.inf if k is None else k
+        """The gauge's kappa: an upper bound for the modulus of concavity."""
+        return self.gauge.kappa
 
     @property
     def is_banach(self) -> bool:

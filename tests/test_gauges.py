@@ -15,6 +15,7 @@ from qnlab import (
     MeasureSpace,
     Orlicz,
     OrliczFunction,
+    QuasiNormedSpace,
     ScalarField,
     Tag,
     VectorField,
@@ -336,13 +337,48 @@ def test_chebyshev_inequality_for_lp():
 # ---------------------------------------------------------------------------
 
 def test_known_kappa_values():
-    assert Lp(1.0).kappa == 1.0 and Lp(1.0).kappa_exact
+    assert Lp(1.0).kappa == 1.0
     assert Lp(0.5).kappa == pytest.approx(2.0)
     assert WeakL1().kappa == 2.0
     assert Orlicz(builtin_phi("power", 0.5)).kappa == pytest.approx(2.0)
-    assert not Orlicz(builtin_phi("loglog")).kappa_exact
-    assert Lp(0.5).convexity_p == 0.5
-    assert Convexified(Lp(0.5), 2.0).convexity_p == 1.0
+    # kappa is an upper bound: inf wherever none is known
+    for g in (Orlicz(builtin_phi("loglog")), Orlicz(builtin_phi("rational")),
+              Convexified(Lp(0.5), 2.0), Intersect(Lp(1.0), Lp(0.5))):
+        assert g.kappa == math.inf
+
+
+KAPPA_GAUGES = {
+    "L0.25": Lp(0.25), "L0.5": Lp(0.5), "L1": Lp(1.0), "L2": Lp(2.0), "weakL1": WeakL1(),
+    "loglog": Orlicz(builtin_phi("loglog")), "rational": Orlicz(builtin_phi("rational")),
+    "power0.5": Orlicz(builtin_phi("power", 0.5)), "power2": Orlicz(builtin_phi("power", 2.0)),
+}
+
+
+@st.composite
+def kappa_case(draw):
+    name = draw(st.sampled_from(sorted(KAPPA_GAUGES)))
+    n = draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n)))
+    rows = np.exp(np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=8 * n, max_size=8 * n))))
+    zeros = np.array(draw(st.lists(st.booleans(), min_size=8 * n, max_size=8 * n)))
+    rows[zeros] = 0.0
+    return name, MeasureSpace(weights), rows.reshape(2, 4, n), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=120)
+@given(kappa_case())
+def test_kappa_is_an_upper_bound_for_the_modulus_of_concavity(case):
+    # the quasi-triangle inequality with the stated kappa, the probe's lower
+    # bound under it, and a target space stating the same kappa
+    name, s, (f, h), seed = case
+    g = KAPPA_GAUGES[name]
+    assert concavity_modulus_probe(g, s, trials=300, seed=seed).value <= g.kappa * (1 + 1e-9)
+    if g.kappa < math.inf:
+        gf, gh, gfh = (gauge_values_rows(g, s, r) for r in (f, h, f + h))
+        assert np.all(gfh <= g.kappa * (gf + gh) * (1 + 1e-12))
+    # a lone atom has rational gauge 0, so rational defines no target norm
+    if name != "rational":
+        assert QuasiNormedSpace(len(s), g).kappa == g.kappa
 
 
 def test_concavity_probe_banach_stays_at_one():

@@ -1,5 +1,6 @@
 """Source hygiene checks over the modules of src/qnlab."""
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import qnlab
 
 PACKAGE = Path(qnlab.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def _unused_imports(tree: ast.AST) -> list:
@@ -62,3 +64,23 @@ def test_cli_eval_on_an_orlicz_gauge_adds_under_16_mb_of_peak_rss():
     code, grown_kib = map(int, out.stdout.split())
     assert code == 0
     assert grown_kib < 16 * 1024
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # the tracer looks each name up when it installs its wrappers, a method
+    # in its class's own __dict__, so a traced run fails on a name that is gone
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, attr, _, _ in tracer.SPECS:
+        mod = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(mod, cls_name, None)
+            found = cls is not None and meth in vars(cls)
+        else:
+            found = callable(getattr(mod, attr, None))
+        if not found:
+            missing.append(f"{modname}.{attr}")
+    assert missing == []

@@ -1,6 +1,5 @@
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -10,8 +9,10 @@ from qnlab import (
     InputError,
     Intersect,
     Lp,
+    Orlicz,
     QuasiNormedSpace,
     Tag,
+    builtin_phi,
     convexify,
     lq_space,
     weak_l1_space,
@@ -26,9 +27,10 @@ class SupGauge(Gauge):
 
     scale: float = 1.0
     shift: float = 0.0
-    kappa_bound: Optional[float] = 1.0
+    kappa_bound: float = 1.0
 
-    def known_kappa(self) -> Optional[float]:
+    @property
+    def kappa(self) -> float:
         return self.kappa_bound
 
     def _value_rows(self, space, rows):
@@ -143,8 +145,9 @@ def test_searched_target_gauge_is_rejected():
 
 
 def test_unknown_kappa_is_infinite_and_not_banach():
-    X = QuasiNormedSpace(2, SupGauge(kappa_bound=None))
-    assert X.kappa == math.inf and not X.is_banach
+    for g in (SupGauge(kappa_bound=math.inf), Orlicz(builtin_phi("loglog"))):
+        X = QuasiNormedSpace(2, g)
+        assert X.kappa == math.inf and not X.is_banach
 
 
 def test_norm_shape_errors():
