@@ -4,8 +4,9 @@ A gauge assigns a nonnegative number to a scalar field; all gauges here
 are positively homogeneous and monotone, and each states its modulus of
 concavity once, as `kappa`: an upper bound for the least constant in
 rho(f+g) <= kappa*(rho(f)+rho(g)), inf when none is known.  Lp(p) and
-Orlicz(power(p)) state 2^(1/p - 1) for p < 1 and 1 otherwise, WeakL1
-states 2, and every other gauge inf.
+Orlicz(power(p)) state 2^(1/p - 1) for p < 1 and 1 otherwise; their
+r-convexifications are L_{p r} and state that of p r; WeakL1 states 2,
+and every other gauge inf.
 
 Available kinds:
 
@@ -22,7 +23,11 @@ Available kinds:
                      larger one in numpy, to the same bits
   Convexified(g, r)  g(|f|^r)^(1/r)
   Intersect(g1, g2)  inf{g1(u) + g2(v) : |f| = u + v, u, v >= 0},
-                     estimated by per-atom splitting (upper bound)
+                     estimated by per-atom splitting (upper bound): a
+                     coordinate descent from seeded restarts that skips the
+                     steps whose outcome it knows (a restart that has not
+                     moved since it last priced an atom's grid, or that
+                     reached an earlier restart's split), to the same bits
 
 An OrliczFunction checks its kernel once, at construction: phi(0) = 0, and
 phi finite, nonnegative and nondecreasing on a 1000-point log grid; claimed
@@ -558,6 +563,13 @@ class Convexified(Gauge):
     def tol(self) -> Optional[float]:
         return self.base.tol
 
+    # on an L_p base (Lp, or Orlicz with the power kernel t^p) this is L_{p r}
+    @property
+    def kappa(self) -> float:
+        b = self.base
+        p = b.p if isinstance(b, Lp) else b.phi.p if isinstance(b, Orlicz) else None
+        return math.inf if p is None else _lp_kappa(p * self.r)
+
     # g(|f|^r)^(1/r) = m * g((|f|/m)^r)^(1/r) for any m > 0 by homogeneity;
     # m = max |f| (1 for a zero field) keeps (|f|/m)^r within [0, 1]
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
@@ -575,7 +587,9 @@ class Intersect(Gauge):
     """g1 ^ g2, an upper bound found by intersect_eval's splitting search.
 
     All rows of a batch run that search in lockstep, and every row shares
-    the budget random starts drawn from seed 0.
+    the budget random starts drawn from seed 0.  The search skips the
+    descent steps whose outcome it knows (see `_intersect_rows`), with the
+    same bits, so g1 and g2 must price a row alike in any batch.
     """
 
     g1: Gauge
@@ -653,6 +667,8 @@ def convexify(g: Gauge, r: float) -> Convexified:
 # the most candidate rows one g1/g2 row call of the intersection search
 # prices; rows are priced independently, so the chunking changes no value
 _INTERSECT_CHUNK = 4096
+# the first of the three grids of an entry in each descent step
+_INTERSECT_COARSE = np.linspace(0.0, 1.0, 33)
 
 
 def _split_costs(g1, g2, space, f, alphas, k=None, pts=None) -> np.ndarray:
@@ -690,8 +706,19 @@ def _intersect_rows(
     grids of that entry, keeping a move only for a relative gain above 1e-15;
     a pair skips the atoms where its row is 0 and stops after a sweep with
     no gain.  All pairs move in lockstep, so each grid of each atom is priced
-    for every pair in one g1 and one g2 row call.  The first restart with
-    the smallest value gives a row its split.
+    for every pair that visits it in one g1 and one g2 row call.  The first
+    restart with the smallest value gives a row its split.
+
+    Two rules skip descent work whose outcome is known, so every value and
+    split keeps its bits.  A pair's visit of an atom depends only on its row
+    and split (its value is that split's cost), so: a pair skips an atom when
+    it has not moved since the coarse grid of its last visit of that atom,
+    as the visit would price the same grids and not move (so a pair also
+    stops after a sweep with no gain); and after a visit with a move, of the
+    live pairs of a row whose splits have equal bits only the first goes
+    on, as the others would take its steps from there and end no lower.
+    Both rules need g1 and g2 to price a row alike in any batch, as every
+    builtin gauge does.
     """
     m, n = f.shape
     budget = max(0, int(budget))
@@ -705,24 +732,35 @@ def _intersect_rows(
                        np.broadcast_to(starts[3:], (m, budget, n))]).reshape(m * R, n)
     fp = np.repeat(f, R, axis=0)
     live = fp.any(axis=1) & (budget > 0)
+    # each pair's move count, and that count right after the coarse grid of its
+    # last visit of each atom (-1 before the first)
+    moves = np.zeros(m * R, dtype=np.int64)
+    seen = np.full((m * R, n), -1, dtype=np.int64)
+    rid = np.repeat(np.arange(m, dtype=float), R)[:, None]
     for _ in range(4):  # descent sweeps
-        improved = np.zeros(m * R, dtype=bool)
         for k in range(n):
-            idx = np.flatnonzero(live & (fp[:, k] != 0))
+            idx = np.flatnonzero(live & (fp[:, k] != 0) & (seen[:, k] != moves))
             if idx.size == 0:
                 continue
-            pts = np.broadcast_to(np.linspace(0.0, 1.0, 33), (idx.size, 33))
-            for _ in range(3):  # a coarse grid, then two grids zoomed on the best point
+            total = moves.sum()
+            pts = np.broadcast_to(_INTERSECT_COARSE, (idx.size, 33))
+            for z in range(3):  # a coarse grid, then two grids zoomed on the best point
                 cv = _split_costs(g1, g2, space, fp[idx], alpha[idx], k, pts)
                 jj = np.argmin(cv, axis=1)
                 low = cv[np.arange(idx.size), jj]
                 gain = low < cur[idx] * (1.0 - 1e-15)
                 alpha[idx[gain], k] = pts[gain, jj[gain]]
                 cur[idx[gain]] = low[gain]
-                improved[idx[gain]] = True
+                moves[idx[gain]] += 1
+                if z == 0:
+                    seen[idx, k] = moves[idx]
                 span, a = pts[:, 1] - pts[:, 0], alpha[idx, k]
                 pts = np.linspace(np.maximum(0.0, a - span), np.minimum(1.0, a + span), 9, axis=1)
-        live &= improved
+            # of the live pairs of a row whose splits have equal bits, the first goes on
+            if moves.sum() != total:
+                lv = np.flatnonzero(live)
+                keys = np.hstack([rid[lv], alpha[lv]]).view(f"V{8 * n + 8}")
+                live[np.delete(lv, np.unique(keys, return_index=True)[1])] = False
     # restart 0 never ends above its seed, so a row keeps its seed on a tie
     cur, alpha = cur.reshape(m, R), alpha.reshape(m, R, n)
     r = np.argmin(cur, axis=1)

@@ -11,6 +11,8 @@ row calls does not grow with trials or budget.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnlab import (
     Gauge,
@@ -574,6 +576,101 @@ def test_intersect_row_calls_do_not_grow_with_rows_or_budget(row_calls, monkeypa
     calls.clear()
     got = gauge_values_rows(Intersect(Lp(1.0), Lp(0.5), budget=12), space, rows)
     assert np.array_equal(got, want) and max(calls) <= 40
+
+
+RATIONAL = Orlicz(builtin_phi("rational"))
+SPLIT_PAIRS = [p.values for p in SPLITS] + [(Lp(0.5), RATIONAL), (WeakL1(), RATIONAL)]
+
+
+@st.composite
+def split_batch(draw):
+    """A gauge pair, a weighted space, a batch with zero entries, zero rows and
+    repeated rows, a budget of 0-3 and a seed."""
+    g1, g2 = draw(st.sampled_from(SPLIT_PAIRS))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.floats(0.3, 1.5), min_size=n, max_size=n)))
+    logs = draw(st.lists(st.floats(-2.0, 2.0), min_size=m * n, max_size=m * n))
+    rows = np.exp(np.array(logs)).reshape(m, n) * 10.0 ** draw(st.integers(-200, 200))
+    rows[np.array(draw(st.lists(st.integers(0, 3), min_size=m * n, max_size=m * n))
+                  ).reshape(m, n) == 0] = 0.0
+    for i in range(1, m):  # row i repeats row j < i, or keeps its own entries for j = i
+        rows[i] = rows[draw(st.integers(0, i))]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = 0.0
+    return g1, g2, MeasureSpace(weights), rows, draw(st.integers(0, 3)), draw(st.integers(0, 2))
+
+
+@settings(max_examples=150)
+@given(split_batch())
+def test_intersect_rows_equal_the_loop_bitwise_on_any_batch(case):
+    # the lockstep search skips descent steps whose outcome is known; every
+    # value and split keeps the bits of the one-restart-at-a-time loop
+    g1, g2, space, rows, budget, seed = case
+    values, alphas = gauges._intersect_rows(g1, g2, space, rows, budget, seed)
+    for f, value, alpha in zip(rows, values, alphas):
+        want, want_alpha = intersect_loop(g1, g2, space, f, budget, seed)
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()
+        assert alpha.tobytes() == want_alpha.tobytes()
+
+
+@pytest.mark.parametrize("g1, g2, weights, rows, budget, seed", [
+    pytest.param(WeakL1(), Lp(1.0), [0.8202470603329268, 1.3669714078377004,
+                                     0.5514531039470081, 0.3570550847200538],
+                 [[1.284217543372897, 0.5794861366518662, 0.1630772643536148, 2.829306341794754]],
+                 8, 0, id="weakL1^L1"),
+    pytest.param(Lp(2.0), WeakL1(), [0.7891360016725848, 0.6996391009512974, 0.37898469502809795],
+                 [[3.9723837718490036, 0.0, 0.0],
+                  [2.418842897053952, 0.5452368572903273, 1.0276050607231526],
+                  [0.5070026177586258, 1.272120402161502, 0.4815548584257824]],
+                 4, 1, id="L2^weakL1"),
+])
+def test_intersect_revisits_an_atom_after_a_move_on_its_zoomed_grids(g1, g2, weights, rows,
+                                                                     budget, seed):
+    # a pair that last moved on a zoomed grid of an atom prices the same coarse
+    # grid on its next visit, but zoomed grids centred elsewhere; here such a
+    # visit moves, so a search that skipped it would end elsewhere
+    space, rows = MeasureSpace(np.array(weights)), np.array(rows)
+    values, alphas = gauges._intersect_rows(g1, g2, space, rows, budget, seed)
+    for f, value, alpha in zip(rows, values, alphas):
+        want, want_alpha = intersect_loop(g1, g2, space, f, budget, seed)
+        assert value == want and np.array_equal(alpha, want_alpha)
+
+
+def test_intersect_descent_ends_when_every_restart_reaches_restart_0(row_calls):
+    # on counting measure L1 >= L2, so the best split gives g2 everything: restart
+    # 0 starts there (the seed 0), and each random restart moves every entry to 0
+    # on its first sweep, so reaches restart 0's split and stops.  Restart 0 has
+    # not moved since its visits, so no second sweep runs: one g1 and one g2 call
+    # for the starts and per (atom, grid) of the first sweep, whatever m and budget
+    # (a search that ran a second sweep for the random restarts made 2 (1 + 6 n))
+    calls = row_calls(Lp)
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5):
+        rows = np.exp(rng.uniform(-1, 1, size=(3, n)))
+        for m in (1, 3):
+            for budget in (1, 4):
+                calls.clear()
+                got = gauge_values_rows(Intersect(Lp(1.0), Lp(2.0), budget=budget),
+                                        counting_space(n), rows[:m])
+                assert len(calls) == 2 * (1 + 3 * n)
+                assert np.array_equal(got, gauge_values_rows(Lp(2.0), counting_space(n), rows[:m]))
+
+
+def test_intersect_pinned_searches_make_fewer_luxemburg_solves(row_calls):
+    # the orlicz-probes intersection instances at seeds 901 and 902 (Lp(0.5) ^
+    # loglog on two atoms, budget 1): both restarts reach the same split, after
+    # which one goes on, and no pair revisits an atom it has not moved since;
+    # without these rules each search made 13 Luxemburg calls over 412 rows
+    calls = row_calls(Orlicz)
+    g = Intersect(Lp(0.5), LOGLOG, budget=1)
+    for f, want in (("0x1.df64de6db91dcp+553 0x1.411d4498b5f1fp+552", [4, 66, 18, 18, 66, 18, 18]),
+                    ("0x1.3e5e5c85ba063p-157 0x1.7200776ab1d92p-160",
+                     [4, 66, 18, 18, 66, 18, 18, 33, 9, 9])):
+        f = np.array([float.fromhex(x) for x in f.split()])
+        calls.clear()
+        values = gauge_values_rows(g, counting_space(2), f[None, :])
+        assert calls == want
+        assert values[0] == intersect_loop(Lp(0.5), LOGLOG, counting_space(2), f, 1, 0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -341,9 +341,17 @@ def test_known_kappa_values():
     assert Lp(0.5).kappa == pytest.approx(2.0)
     assert WeakL1().kappa == 2.0
     assert Orlicz(builtin_phi("power", 0.5)).kappa == pytest.approx(2.0)
+    # the r-convexification of an L_p base is L_{p r}
+    assert convexify(Lp(0.5), 2.0).kappa == 1.0
+    assert QuasiNormedSpace(3, convexify(Lp(0.5), 2.0)).is_banach
+    assert convexify(Lp(0.25), 1.5).kappa == Lp(0.375).kappa
+    assert convexify(Orlicz(builtin_phi("power", 0.5)), 0.5).kappa == pytest.approx(8.0)
+    assert convexify(Orlicz(builtin_phi("power", 2.0)), 0.25).kappa == pytest.approx(2.0)
+    assert convexify(Lp(2.0), 0.25).kappa == pytest.approx(2.0)
     # kappa is an upper bound: inf wherever none is known
     for g in (Orlicz(builtin_phi("loglog")), Orlicz(builtin_phi("rational")),
-              Convexified(Lp(0.5), 2.0), Intersect(Lp(1.0), Lp(0.5))):
+              convexify(Orlicz(builtin_phi("loglog")), 2.0), convexify(WeakL1(), 2.0),
+              Intersect(Lp(1.0), Lp(0.5))):
         assert g.kappa == math.inf
 
 
@@ -351,6 +359,11 @@ KAPPA_GAUGES = {
     "L0.25": Lp(0.25), "L0.5": Lp(0.5), "L1": Lp(1.0), "L2": Lp(2.0), "weakL1": WeakL1(),
     "loglog": Orlicz(builtin_phi("loglog")), "rational": Orlicz(builtin_phi("rational")),
     "power0.5": Orlicz(builtin_phi("power", 0.5)), "power2": Orlicz(builtin_phi("power", 2.0)),
+    "L0.5^2": convexify(Lp(0.5), 2.0), "L0.25^1.5": convexify(Lp(0.25), 1.5),
+    "L2^0.25": convexify(Lp(2.0), 0.25),
+    "power0.5^0.5": convexify(Orlicz(builtin_phi("power", 0.5)), 0.5),
+    "power2^1.5": convexify(Orlicz(builtin_phi("power", 2.0)), 1.5),
+    "loglog^2": convexify(Orlicz(builtin_phi("loglog")), 2.0),
 }
 
 
@@ -365,7 +378,7 @@ def kappa_case(draw):
     return name, MeasureSpace(weights), rows.reshape(2, 4, n), draw(st.integers(0, 2 ** 16))
 
 
-@settings(max_examples=120)
+@settings(max_examples=200)
 @given(kappa_case())
 def test_kappa_is_an_upper_bound_for_the_modulus_of_concavity(case):
     # the quasi-triangle inequality with the stated kappa, the probe's lower

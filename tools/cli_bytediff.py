@@ -62,6 +62,8 @@ COMMANDS = [
     ("eval-convexified-loglog", _eval('{"kind": "convexified", "base": %s, "r": 1.5}' % LOGLOG)),
     ("eval-intersect", _eval('{"kind": "intersect", "g1": %s, "g2": {"kind": "weak_l1"},'
                              ' "budget": 4}' % LP)),
+    # Luxemburg rows in the splitting search, at the default budget
+    ("eval-intersect-loglog", _eval('{"kind": "intersect", "g1": %s, "g2": %s}' % (LP, LOGLOG))),
     ("eval-vectors", ["eval", "--gauge", LOGLOG, "--space", '{"weights": [1.0, 1.0]}',
                       "--vectors", "[[3.0, 4.0], [1.0, 0.0]]",
                       "--target", '{"kind": "lq", "dim": 2, "q": 0.5}']),
