@@ -3,8 +3,8 @@
 `qnlab suite`, `qnlab report` and the acceptance criteria all run the
 functions of `CHECKS`.  Each returns (passed, details): details holds the
 measured numbers, the thresholds they were judged against and, when a
-threshold is violated, a witness (a qnlab object; the command line
-serializes it).
+threshold is violated, a witness (a qnlab object, which `serialize` writes
+by its fields).
 
 The keyword parameters are the ones the command-line flags carry (trials,
 budget, tol, cells, seed); every other size or threshold is a constant of

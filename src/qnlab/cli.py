@@ -4,14 +4,17 @@ Commands either evaluate one quantity (eval, rolewicz, mii, galb-estimate,
 tensor-norm, envelope, dual, ftc) or run a named check battery (suite,
 report).  All output is deterministic for a fixed (command, inputs, seed)
 triple: JSON with sorted keys and 17-significant-digit floats, or a
-flattened key/value CSV.
+flattened key/value CSV.  The commands hand their results, witnesses and
+reports to `serialize` as they are; its one shape rule writes them.
 
 Exit codes: 0 success, 1 a checked bound was violated (the emitted payload
-carries the witness), 2 malformed input or unknown names.
+carries the witness) or a library self-check failed (an `error:` line on
+stderr, no payload), 2 malformed input or unknown names.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import math
 import sys
@@ -22,19 +25,13 @@ import numpy as np
 
 from .bounds import BoundResult
 from .checks import CHECKS
-from .convexity import Decomposition, mii_sweep, p_envelope
+from .convexity import mii_sweep, p_envelope
 from .errors import DegenerateCubeError, GaugeDefinitionError, InputError
-from .galb_tensor import (
-    GalbWitness,
-    TensorRep,
-    galb_gauge_estimate,
-    profile_value,
-    tensor_norm_estimate,
-)
+from .galb_tensor import galb_gauge_estimate, profile_value, tensor_norm_estimate
 from .gauges import Gauge, dual_gauge, eval_gauge, eval_vector_gauge
 from .integration import rolewicz_counterexample
 from .maximal import GridSpace, default_scales, differentiation_report, weak11_constant
-from .measure import MeasureSpace, Partition, ScalarField, VectorField
+from .measure import MeasureSpace, ScalarField, VectorField
 from .serialize import (
     _number_array,
     dumps_csv,
@@ -49,35 +46,8 @@ from .serialize import (
 )
 
 # ---------------------------------------------------------------------------
-# payload assembly
+# emission
 # ---------------------------------------------------------------------------
-
-
-def _payload(w: Any) -> Any:
-    """w with every witness object replaced by its JSON form."""
-    if w is None:
-        return None
-    if isinstance(w, ScalarField):
-        return {"values": w.values}
-    if isinstance(w, VectorField):
-        return {"vectors": w.vectors}
-    if isinstance(w, Partition):
-        return {"blocks": [list(b) for b in w.blocks]}
-    if isinstance(w, Decomposition):
-        return {"parts": [{"values": part.values} for part in w.parts]}
-    if isinstance(w, TensorRep):
-        return {"xs": w.xs, "fs": w.fs}
-    if isinstance(w, GalbWitness):
-        return {"coefficients": w.coefficients, "vectors": w.vectors, "value": w.value}
-    if isinstance(w, np.ndarray):
-        return w
-    if isinstance(w, dict):
-        return {key: _payload(value) for key, value in w.items()}
-    if isinstance(w, (tuple, list)):
-        return [_payload(item) for item in w]
-    if isinstance(w, (int, float, str, bool, np.integer, np.floating)):
-        return w
-    return repr(w)
 
 
 def _emit(payload: Any, args: argparse.Namespace) -> None:
@@ -95,7 +65,7 @@ def _emit(payload: Any, args: argparse.Namespace) -> None:
 def _emit_bound(args: argparse.Namespace, br: BoundResult, **fields: Any) -> int:
     """Emit one estimate: the command, its input fields, and the tagged bound."""
     payload = {"command": args.command, **fields, "value": float(br.value),
-               "tag": br.tag.name.lower(), "witness": _payload(br.witness)}
+               "tag": br.tag.name.lower(), "witness": br.witness}
     if br.tol is not None:
         payload["tol"] = float(br.tol)
     _emit(payload, args)
@@ -188,15 +158,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_rolewicz(args: argparse.Namespace) -> int:
     rep = rolewicz_counterexample(args.p, args.n)
-    payload = {
-        "command": "rolewicz",
-        "p": rep.p,
-        "n": rep.n,
-        "sup_part_norm": rep.sup_part_norm,
-        "riemann_sum_norm": rep.riemann_sum_norm,
-        "blowup_ratio": rep.blowup_ratio,
-    }
-    _emit(payload, args)
+    _emit({"command": "rolewicz", **dataclasses.asdict(rep)}, args)
     return 0
 
 
@@ -265,24 +227,10 @@ def cmd_ftc(args: argparse.Namespace) -> int:
         values[grid.n_atoms // 2] = float(grid.n_atoms)
         field = ScalarField(values)
     scales = args.scales if args.scales is not None else list(default_scales(grid))
-    w = weak11_constant(grid, field, scales)
-    payload: Dict[str, Any] = {
-        "command": "ftc",
-        "cells": args.cells,
-        "d": args.d,
-        "scales": scales,
-        "weak11": {
-            "weak_norm": w.weak_norm,
-            "input_size": w.input_size,
-            "constant": w.constant,
-        },
-    }
+    payload: Dict[str, Any] = {"command": "ftc", "cells": args.cells, "d": args.d,
+                               "scales": scales, "weak11": weak11_constant(grid, field, scales)}
     if args.samples is not None:
-        rep = differentiation_report(grid, field, args.samples, scales)
-        payload["differentiation"] = {
-            "per_scale": [list(row) for row in rep.per_scale],
-            "max_error": rep.max_error,
-        }
+        payload["differentiation"] = differentiation_report(grid, field, args.samples, scales)
     _emit(payload, args)
     return 0
 
@@ -297,8 +245,7 @@ def _run_check(name: str, args: argparse.Namespace) -> Tuple[bool, Dict[str, Any
     check = CHECKS[name]
     flags = {key: getattr(args, key) for key in inspect.signature(check).parameters
              if getattr(args, key) is not None}
-    passed, details = check(**flags)
-    return passed, _payload(details)
+    return check(**flags)
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
@@ -419,6 +366,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InputError, GaugeDefinitionError, DegenerateCubeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except AssertionError as exc:  # a library self-check failed: no payload to emit
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ float range raises InputError, so no overflowed value is ever tagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -469,7 +469,6 @@ class Gauge:
     concavity once, as `kappa`, an upper bound (inf when none is known).
     """
 
-    kind: str = "abstract"
     tag: Tag = Tag.EXACT
     tol: Optional[float] = None
     # an upper bound for the modulus of concavity; a subclass that knows one overrides it
@@ -486,13 +485,12 @@ class Gauge:
         return BoundResult(self.value(space, f), self.tag, tol=self.tol)
 
     def label(self) -> str:
-        return self.kind
+        return type(self).__name__
 
 
 @dataclass(frozen=True)
 class Lp(Gauge):
     p: float
-    kind: str = field(default="lp", init=False)
 
     def __post_init__(self) -> None:
         if self.p <= 0:
@@ -511,7 +509,6 @@ class Lp(Gauge):
 
 @dataclass(frozen=True)
 class WeakL1(Gauge):
-    kind: str = field(default="weak_l1", init=False)
     kappa = 2.0
 
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:
@@ -525,7 +522,6 @@ class WeakL1(Gauge):
 class Orlicz(Gauge):
     phi: OrliczFunction
     tol: float = DEFAULT_LUX_TOL
-    kind: str = field(default="orlicz", init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < math.inf:
@@ -549,7 +545,6 @@ class Orlicz(Gauge):
 class Convexified(Gauge):
     base: Gauge
     r: float
-    kind: str = field(default="convexified", init=False)
 
     def __post_init__(self) -> None:
         if self.r <= 0:
@@ -595,7 +590,6 @@ class Intersect(Gauge):
     g1: Gauge
     g2: Gauge
     budget: int = 32
-    kind: str = field(default="intersect", init=False)
     tag = Tag.UPPER
 
     def _value_rows(self, space: MeasureSpace, rows: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ sum has norm one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -155,6 +156,10 @@ class CounterexampleReport:
     blowup_ratio: float      # riemann / sup_part               = n^(1/p - 1)
 
 
+# the most atoms of the blow-up family: its n x n part matrix (128 MiB)
+_ROLEWICZ_MAX_N = 4096
+
+
 def rolewicz_counterexample(p: float, n: int) -> CounterexampleReport:
     """Partition [0,1] into n atoms of mass 1/n, take x_m = n * indicator(A_m).
 
@@ -162,12 +167,21 @@ def rolewicz_counterexample(p: float, n: int) -> CounterexampleReport:
     while the Riemann sum sum_m mass(A_m) x_m is the constant-one field of
     norm exactly 1, so the ratio blows up like n^(1/p - 1).  All three
     numbers are evaluated through the gauge machinery and then asserted
-    against the closed forms at 1e-12 relative.
+    against the closed forms at 1e-12 relative.  n is at most
+    _ROLEWICZ_MAX_N, and a (p, n) whose ratio leaves the float range (the
+    part norm underflows) is refused, both before anything is built.
     """
     if not (0.0 < p <= 1.0):
         raise InputError("the blow-up family needs an exponent p in (0, 1]")
-    if n < 1:
-        raise InputError("need at least one atom")
+    if not 1 <= n <= _ROLEWICZ_MAX_N:
+        raise InputError(f"the blow-up family takes 1 to {_ROLEWICZ_MAX_N} atoms, got {n}")
+    try:
+        expect_ratio = float(n) ** (1.0 / p - 1.0)
+    except OverflowError:
+        expect_ratio = math.inf
+    if expect_ratio == math.inf:
+        raise InputError(f"the part norm n^(1 - 1/p) underflows at p = {p!r}, n = {n}: "
+                         "the blow-up ratio is beyond the float range")
     space = uniform_probability_space(n)
     gauge = Lp(p)
 
@@ -177,7 +191,6 @@ def rolewicz_counterexample(p: float, n: int) -> CounterexampleReport:
     ratio = riemann_norm / sup_part
 
     expect_sup = float(n) ** (1.0 - 1.0 / p)
-    expect_ratio = float(n) ** (1.0 / p - 1.0)
     for got, want in ((sup_part, expect_sup), (riemann_norm, 1.0), (ratio, expect_ratio)):
         if abs(got - want) > 1e-12 * max(1.0, abs(want)):
             raise AssertionError(

@@ -1,17 +1,22 @@
 """Deterministic JSON / CSV emission and strict input parsing.
 
 Output is byte-reproducible: object keys are sorted, floats always print
-with 17 significant digits, and every document ends in a single LF.  The
+with 17 significant digits, and every document ends in a single LF.  One
+rule (`_shape`) gives a qnlab object its JSON shape: a scalar field is
+written by its values, a vector field by its vectors, a tensor
+representation by its xs and fs, and any other dataclass (witnesses,
+partitions, reports) by its fields; anything else is an InputError.  The
 parsers accept either inline JSON or ``@path`` file references and raise
 InputError on anything malformed, which the command line maps to exit
 code 2.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .gauges import (
     WeakL1,
     builtin_phi,
 )
-from .measure import MeasureSpace, Partition, ScalarField
+from .measure import MeasureSpace, Partition, ScalarField, VectorField
 from .spaces import QuasiNormedSpace, lq_space
 
 # ---------------------------------------------------------------------------
@@ -38,6 +43,19 @@ def _fmt_float(x: float) -> str:
     if not np.isfinite(x):
         raise InputError("refusing to serialize a non-finite number")
     return format(float(x), ".17g")
+
+
+def _shape(obj: Any) -> Dict[str, Any]:
+    """The JSON object standing for a qnlab object (see the module docstring)."""
+    if isinstance(obj, ScalarField):
+        return {"values": obj.values}
+    if isinstance(obj, VectorField):
+        return {"vectors": obj.vectors}
+    if isinstance(obj, TensorRep):
+        return {"xs": obj.xs, "fs": obj.fs}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def _dump(obj: Any, out: List[str]) -> None:
@@ -69,7 +87,7 @@ def _dump(obj: Any, out: List[str]) -> None:
             _dump(item, out)
         out.append("]")
     else:
-        raise InputError(f"cannot serialize object of type {type(obj).__name__}")
+        _dump(_shape(obj), out)
 
 
 def dumps_json(obj: Any) -> str:
@@ -101,12 +119,18 @@ def dumps_csv(rows: Iterable[Sequence[Any]]) -> str:
     return "".join(",".join(_csv_cell(c) for c in row) + "\n" for row in rows)
 
 
+# the nodes flatten_for_csv writes as they are; _csv_cell judges them
+_LEAF = (float, int, str, type(None), np.generic)
+
+
 def flatten_for_csv(payload: Any) -> List[Tuple[str, Any]]:
     """Depth-first (sorted-key) flattening into (dotted path, leaf) rows."""
     rows: List[Tuple[str, Any]] = []
 
     def walk(node: Any, path: str) -> None:
-        if isinstance(node, dict):
+        if isinstance(node, _LEAF):
+            rows.append((path, node))
+        elif isinstance(node, dict):
             for key in sorted(node, key=str):
                 walk(node[key], f"{path}.{key}" if path else str(key))
         elif isinstance(node, (list, tuple)) or isinstance(node, np.ndarray):
@@ -114,7 +138,7 @@ def flatten_for_csv(payload: Any) -> List[Tuple[str, Any]]:
             for i, item in enumerate(items):
                 walk(item, f"{path}.{i}" if path else str(i))
         else:
-            rows.append((path, node))
+            walk(_shape(node), path)
 
     walk(payload, "")
     return rows

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -6,22 +7,33 @@ import numpy as np
 import pytest
 
 from qnlab import (
+    CounterexampleReport,
+    Decomposition,
+    DifferentiationReport,
+    GalbWitness,
     InputError,
     Lp,
     MeasureSpace,
     Orlicz,
+    Partition,
     ScalarField,
+    TensorRep,
+    VectorField,
+    Weak11Report,
     WeakL1,
     builtin_phi,
     checks,
+    cli,
     counting_space,
     eval_gauge,
+    lq_space,
     rolewicz_counterexample,
     weak11_constant,
     GridSpace,
 )
 from qnlab.cli import build_parser, main
-from qnlab.serialize import dumps_json, parse_partition, parse_scalar_field
+from qnlab.integration import _ROLEWICZ_MAX_N
+from qnlab.serialize import dumps_json, flatten_for_csv, parse_partition, parse_scalar_field
 
 REPORT_ARGS = ["report", "--trials", "8", "--budget", "300", "--cells", "256"]
 
@@ -77,6 +89,38 @@ def test_rolewicz_matches_direct_api(capsys):
     assert payload["blowup_ratio"] == rep.blowup_ratio == 16.0
     assert payload["sup_part_norm"] == rep.sup_part_norm
     assert payload["riemann_sum_norm"] == 1.0
+
+
+# (p, n) whose part norm n^(1 - 1/p) underflows, so that the ratio n^(1/p - 1)
+# is beyond the float range: to 0 at p = 1e-300, subnormal at p = 0.0009756
+@pytest.mark.parametrize("p,n", [("1e-300", "2"), ("0.0009756", "2"), ("5e-324", "3")])
+def test_rolewicz_refuses_a_part_norm_that_underflows(capsys, p, n):
+    code, out, err = run(capsys, ["rolewicz", "--p", p, "--n", n])
+    assert code == 2 and out == ""
+    assert err.startswith("error: the part norm n^(1 - 1/p) underflows")
+
+
+@pytest.mark.parametrize("n", [_ROLEWICZ_MAX_N + 1, 10**5])
+def test_rolewicz_refuses_too_many_atoms_before_building_the_parts(capsys, monkeypatch, n):
+    # the n x n part matrix is never built: n = 10^5 would take 80 GB
+    monkeypatch.setattr(np, "eye", None)
+    code, out, err = run(capsys, ["rolewicz", "--p", "0.5", "--n", str(n)])
+    assert code == 2 and out == ""
+    assert err == f"error: the blow-up family takes 1 to {_ROLEWICZ_MAX_N} atoms, got {n}\n"
+
+
+def test_a_failed_library_self_check_exits_one_with_an_error_line(capsys, monkeypatch):
+    # as rolewicz_counterexample(0.02, 2250) fails its 1e-12 check, without its 40 MB matrix
+    def fails(p, n):
+        raise AssertionError("blow-up family disagrees with closed form: "
+                             "1.0000000000012768 vs 1.0")
+
+    monkeypatch.setattr(cli, "rolewicz_counterexample", fails)
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, ["rolewicz", "--p", "0.02", "--n", "2250", "--format", fmt])
+        assert code == 1 and out == ""
+        assert err == ("error: blow-up family disagrees with closed form: "
+                       "1.0000000000012768 vs 1.0\n")
 
 
 def test_ftc_reports_the_measured_constant(capsys):
@@ -350,6 +394,67 @@ def test_json_is_sorted_and_lf_terminated(capsys):
     assert out.endswith("\n") and not out.endswith("\r\n")
     payload = json.loads(out)
     assert list(payload) == sorted(payload)
+
+
+# the JSON shape of each report and witness: exactly its fields
+REPORTS = (
+    (CounterexampleReport(p=0.5, n=4, sup_part_norm=0.25, riemann_sum_norm=1.0,
+                          blowup_ratio=4.0),
+     {"p": 0.5, "n": 4, "sup_part_norm": 0.25, "riemann_sum_norm": 1.0, "blowup_ratio": 4.0}),
+    (Weak11Report(weak_norm=2.0, input_size=1.0, constant=2.0),
+     {"weak_norm": 2.0, "input_size": 1.0, "constant": 2.0}),
+    (DifferentiationReport(per_scale=((0.25, 0.0), (0.125, 1.5)), max_error=1.5),
+     {"per_scale": [[0.25, 0.0], [0.125, 1.5]], "max_error": 1.5}),
+    (GalbWitness(coefficients=np.array([1.0, 0.5]), vectors=np.array([[1.0, 0.0], [0.0, 0.5]]),
+                 value=1.5),
+     {"coefficients": [1.0, 0.5], "vectors": [[1.0, 0.0], [0.0, 0.5]], "value": 1.5}),
+    (Decomposition((ScalarField(np.array([1.0, 2.0])), ScalarField(np.array([0.5, 0.0])))),
+     {"parts": [{"values": [1.0, 2.0]}, {"values": [0.5, 0.0]}]}),
+    (Partition(((0, 2), (1,))), {"blocks": [[0, 2], [1]]}),
+)
+
+
+@pytest.mark.parametrize("obj,want", REPORTS, ids=[type(obj).__name__ for obj, _ in REPORTS])
+def test_reports_and_witnesses_are_written_by_their_fields(obj, want):
+    assert set(want) == {f.name for f in dataclasses.fields(obj)}
+    assert json.loads(dumps_json(obj)) == want
+    assert flatten_for_csv(obj) == flatten_for_csv(want)
+
+
+# fields and tensor representations: their arrays, without signed, target or lam
+ARRAYS = (
+    (ScalarField(np.array([-1.0, 2.0]), signed=True), {"values": [-1.0, 2.0]}),
+    (VectorField(np.array([[1.0, 2.0], [0.0, -3.0]]), lq_space(2, 0.5)),
+     {"vectors": [[1.0, 2.0], [0.0, -3.0]]}),
+    (TensorRep(xs=np.array([[1.0, 0.5]]), fs=np.array([[2.0, -1.0, 0.0]]),
+               target=lq_space(2, 0.5), lam=Lp(1.0)),
+     {"xs": [[1.0, 0.5]], "fs": [[2.0, -1.0, 0.0]]}),
+)
+
+
+@pytest.mark.parametrize("obj,want", ARRAYS, ids=[type(obj).__name__ for obj, _ in ARRAYS])
+def test_fields_and_tensor_representations_are_written_by_their_arrays(obj, want):
+    assert json.loads(dumps_json(obj)) == want
+    assert flatten_for_csv(obj) == flatten_for_csv(want)
+
+
+def test_a_numpy_bool_in_check_details_is_written_as_true(capsys, monkeypatch):
+    monkeypatch.setitem(checks.CHECKS, "counterexample",
+                        lambda: (np.bool_(True), {"flag": np.bool_(True)}))
+    code, out, _ = run(capsys, ["suite", "--name", "counterexample"])
+    assert code == 0
+    assert json.loads(out)["details"] == {"flag": True}
+    assert '"flag":true' in out
+    code, out, _ = run(capsys, ["suite", "--name", "counterexample", "--format", "csv"])
+    assert code == 0 and "details.flag,true\n" in out
+
+
+def test_a_detail_with_no_json_shape_exits_two(capsys, monkeypatch):
+    monkeypatch.setitem(checks.CHECKS, "counterexample", lambda: (True, {"what": object()}))
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, ["suite", "--name", "counterexample", "--format", fmt])
+        assert code == 2 and out == ""
+        assert err == "error: cannot serialize object of type object\n"
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,10 @@ ONCE = [
     ("no-field", ["eval", "--gauge", LP, "--space", W3]),
     ("no-target", ["eval", "--gauge", LP, "--space", W3, "--vectors", "[[1.0]]"]),
     ("bad-rolewicz", ["rolewicz", "--p", "1.5", "--n", "4"]),
+    # a part norm that underflows to 0 (exit 2), and a failed 1e-12 self-check
+    # (exit 1, an error line): each was a traceback before either had its own exit
+    ("rolewicz-underflow", ["rolewicz", "--p", "1e-300", "--n", "2"]),
+    ("rolewicz-self-check", ["rolewicz", "--p", "0.02", "--n", "2250"]),
     ("bad-dims", ["mii", "--gauge-a", LP, "--gauge-b", LP, "--dims", "4by4"]),
     ("zero-dims", ["mii", "--gauge-a", LP, "--gauge-b", LP, "--dims", "0x3"]),
     ("nan-bound", ["mii", "--gauge-a", LP, "--gauge-b", LP, "--bound", "nan"]),
