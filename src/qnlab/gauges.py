@@ -18,9 +18,11 @@ Available kinds:
                      two rounds (coarse points, then one group), then
                      closed to relative width tol by an Anderson-Bjorck
                      iteration on log2 t with a bisection fallback (power
-                     kernels: the Lp closed form); a batch of at most
-                     _LUX_FEW nonzero rows is solved on Python floats, a
-                     larger one in numpy, to the same bits
+                     kernels: the Lp closed form); the grid's first round
+                     is priced once, a batch of at most _LUX_FEW nonzero
+                     rows is then solved on Python floats, a larger one in
+                     numpy, to the same final brackets, and every value is
+                     formed from its bracket by one formula
   Convexified(g, r)  g(|f|^r)^(1/r)
   Intersect(g1, g2)  inf{g1(u) + g2(v) : |f| = u + v, u, v >= 0},
                      estimated by per-atom splitting (upper bound): a
@@ -29,11 +31,13 @@ Available kinds:
                      moved since it last priced an atom's grid, or that
                      reached an earlier restart's split), to the same bits
 
-An OrliczFunction checks its kernel once, at construction: phi(0) = 0, and
-phi finite, nonnegative and nondecreasing on a 1000-point log grid; claimed
-concavity by a midpoint test on the grid pairs i < j, 64 rows at a time,
-so the test holds at most a few MB of temporaries (power kernels t^p with
-p <= 1 are concave and skip it).
+The builtin kernels power(p), loglog and rational come from one table
+through `builtin_phi`, each built once.  An OrliczFunction checks its
+kernel once, at construction: phi(0) = 0, phi finite, nonnegative and
+nondecreasing on a 1000-point log grid, and t^p there when its p is set;
+claimed concavity by a midpoint test on the grid pairs i < j, 64 rows at a
+time, so the test holds at most a few MB of temporaries (power kernels t^p
+with p <= 1 are concave and skip it).
 
 Every value comes from a gauge's row kernel `_value_rows`, and each gauge
 declares once, as class-level `tag` and `tol`, what its values are: Lp and
@@ -41,9 +45,10 @@ WeakL1 are EXACT closed forms, Orlicz is EXACT to its Luxemburg `tol`,
 Intersect is an UPPER bound, and Convexified takes its base's declaration.
 `eval_gauge` returns the row-kernel value under that tag and tol.
 
-Lp and WeakL1 use the row kernels of `qnlab.measure`.  Fields with entries
-within 1e+-300 are evaluated to about 1e-12 relative; a value beyond the
-float range raises InputError, so no overflowed value is ever tagged.
+Lp and WeakL1 use the row kernels of `qnlab.measure`, which state their
+error: n u for WeakL1 and u (4 + (n + 2)/p + |ln V|) for an Lp value V of n
+atoms, u = 2^-53.  A value beyond the float range raises InputError, so no
+overflowed value is ever tagged.
 """
 from __future__ import annotations
 
@@ -106,7 +111,8 @@ class OrliczFunction:
     p is set only for the power kernel t^p; Orlicz gauges then take the Lp
     closed form instead of bisecting.
     Construction checks phi(0) = 0 and that phi is finite, nonnegative and
-    nondecreasing on a fixed log grid g of 1000 points in [1e-9, 1e3].
+    nondecreasing on a fixed log grid g of 1000 points in [1e-9, 1e3], and,
+    when p is set, that phi(g) is g^p to 1e-12 relative.
     Concavity, when claimed, is checked at the midpoints of the grid pairs
     i < j: phi(m) >= r - 1e-10 max(1, |r|), m = (g_i + g_j)/2 and
     r = (phi(g_i) + phi(g_j))/2 (the pairs j < i are the same numbers, and
@@ -138,6 +144,11 @@ class OrliczFunction:
             raise GaugeDefinitionError("phi must be finite and nonnegative on (0, 1e3]")
         if np.any(np.diff(vals) < -1e-12 * np.maximum(1.0, vals[:-1])):
             raise GaugeDefinitionError("phi must be nondecreasing")
+        # Orlicz prices a kernel with p set by the Lp closed form, so phi must be
+        # t^p (the finite vals match no g^p beyond the float range)
+        with np.errstate(over="ignore"):
+            if self.p is not None and not np.all(np.abs(vals - g**self.p) <= 1e-12 * vals):
+                raise GaugeDefinitionError(f"phi is not t^p for its p = {self.p!r}")
         # t^p is concave for p <= 1, and Orlicz prices a kernel with p set by
         # the Lp closed form, never through its evaluator
         if self.claimed_concave and (self.p is None or self.p > 1.0):
@@ -194,35 +205,30 @@ def _rational_eval(t: np.ndarray) -> np.ndarray:
     return np.divide(t, out, out)
 
 
-@lru_cache(maxsize=None)
-def power_phi(p: float) -> OrliczFunction:
-    if p <= 0:
-        raise InputError("power Orlicz kernel needs p > 0")
-    return OrliczFunction(
-        name=f"power({p:g})", evaluator=_power_eval(p), claimed_concave=p <= 1.0, p=p
-    )
-
-
-@lru_cache(maxsize=None)
-def loglog_phi() -> OrliczFunction:
-    return OrliczFunction(name="loglog", evaluator=_loglog_eval, claimed_concave=True)
-
-
-@lru_cache(maxsize=None)
-def rational_phi() -> OrliczFunction:
-    return OrliczFunction(name="rational", evaluator=_rational_eval, claimed_concave=True)
+# the builtin kernels other than power(p): name -> evaluator
+_BUILTIN_EVAL = {"loglog": _loglog_eval, "rational": _rational_eval}
 
 
 def builtin_phi(name: str, p: Optional[float] = None) -> OrliczFunction:
-    if name == "loglog":
-        return loglog_phi()
-    if name == "rational":
-        return rational_phi()
-    if name == "power":
-        if p is None:
-            raise InputError("power kernel needs an exponent p")
-        return power_phi(float(p))
-    raise InputError(f"unknown Orlicz kernel {name!r}")
+    """The builtin kernel `name`, built once: "power" -> t^p (p > 0), and
+    "loglog" and "rational" (p ignored); InputError for any other name."""
+    if not isinstance(name, str) or (name not in _BUILTIN_EVAL and name != "power"):
+        raise InputError(f"unknown Orlicz kernel {name!r}")
+    if name != "power":
+        return _builtin(name, None)
+    if p is None:
+        raise InputError("power kernel needs an exponent p")
+    if float(p) <= 0:
+        raise InputError("power Orlicz kernel needs p > 0")
+    return _builtin(name, float(p))
+
+
+@lru_cache(maxsize=None)
+def _builtin(name: str, p: Optional[float]) -> OrliczFunction:
+    if p is None:
+        return OrliczFunction(name=name, evaluator=_BUILTIN_EVAL[name])
+    return OrliczFunction(name=f"power({p:g})", evaluator=_power_eval(p),
+                          claimed_concave=p <= 1.0, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +270,18 @@ def _lux_rows(
     steps run out (only for tol near the float resolution), and gets
     scale * sqrt(lo * hi).
 
-    Two self-contained solvers carry this rule from the start grid to the
-    values, chosen by the number of nonzero rows alone, before the grid is
-    priced.  Up to _LUX_FEW of them go to `_lux_few`, which reads the grid
-    and steps on per-row Python floats, where the dozens of numpy dispatches
-    the vector code makes would cost more than its arithmetic; more go
-    through the vector start and step loop below.  Both price the same
-    points, stacked in the same order, in the same `price` calls, so they
-    make the same phi calls on the same arrays; and both take the same IEEE
-    operations in the same order: +, -, *, / and sqrt round alike in Python
-    and numpy, and phi, the level sums, log, log2 and exp2 are numpy calls
-    on arrays in both.  So the two give the same bits.
+    The first round of the start grid is priced once, here; two solvers then
+    carry the rule from it to each row's final bracket [lo, hi], chosen by
+    the number of nonzero rows alone, and every value is formed once, here,
+    as scale * sqrt(lo * hi).  Up to _LUX_FEW rows go to `_lux_few`, which
+    reads the grid and steps on per-row Python floats, where the dozens of
+    numpy dispatches the vector code makes would cost more than its
+    arithmetic; more go to `_lux_vec`, which does so on numpy arrays.  Both
+    price the same points, stacked in the same order, in the same `price`
+    calls, so they make the same phi calls on the same arrays; and both take
+    the same IEEE operations in the same order: +, -, *, / round alike in
+    Python and numpy, and phi, the level sums, log, log2 and exp2 are numpy
+    calls on arrays in both.  So the two give the same bits.
 
     A row's value depends only on the row, never on the rows batched with
     it: the row max comes from `measure._row_max`, each level sum from
@@ -286,7 +293,9 @@ def _lux_rows(
     act = (scale > 0).nonzero()[0]
     if act.size == 0:
         return out
-    a = rows / scale[:, None] if act.size == scale.size else rows[act] / scale[act, None]
+    if act.size == scale.size:  # every row: index by a slice, which copies nothing
+        act = slice(None)
+    a = rows[act] / scale[act, None]
     per = max(1, _LUX_CHUNK // a.shape[1])
     # a width log2(hi/lo) at most `close` certifies hi/lo <= 1 + tol after rounding;
     # the steps are as many as bisecting the whole range to log2(1 + tol)
@@ -314,56 +323,70 @@ def _lux_rows(
     # overflow in phi or in a / t reads as a level sum of inf, and q = y / yp
     # below may divide by a last y of 0 (S = 1) or take inf / inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if act.size <= _LUX_FEW:
-            _lux_few(level, price, a, act, scale, one, close, steps, out)
-            return out
-        cols = slice(None) if one else _LUX_COARSE
-        lev = np.full((a.shape[0], _LUX_X.size), np.nan)
-        tc = _LUX_T[cols]
-        lev[:, cols] = price((a[:, None, :] / tc[:, None]).reshape(-1, a.shape[1])
-                             ).reshape(-1, tc.size)
-        # g counts the coarse points read above 1 before the first at or below
-        # it; the points below the g-th one are not read
-        g = np.logical_and.accumulate(~(lev[:, _LUX_COARSE] <= 0.0), axis=1).sum(axis=1)
-        lev[_LUX_GROUP < g[:, None]] = np.nan
+        # the first round of the start grid: every point, or the coarse ones
+        # (the others NaN until read)
+        tc = _LUX_T if one else _LUX_T[_LUX_COARSE]
+        lev = price((a[:, None, :] / tc[:, None]).reshape(-1, a.shape[1])).reshape(len(a), -1)
         if not one:
-            r, j = np.nonzero((_LUX_GROUP == g[:, None]) & ~_LUX_COARSE)
-            lev[r, j] = price(a[r] / _LUX_T[j, None])
-        k = np.argmax(lev <= 0.0, axis=1)  # the first point read with S <= 1
-        at = np.arange(0, lev.size, _LUX_X.size) + k  # its flat index in lev
-        yh = lev.ravel()[at]
-        if not np.all(yh <= 0.0):
-            raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
-        if not k.all():
-            act, a, k, at, yh = (v[k > 0] for v in (act, a, k, at, yh))
-        tl, th, yl = _LUX_T[k - 1], _LUX_T[k], lev.ravel()[at - 1]
-        yp = np.full(k.size, np.inf)  # the y of the last step (inf before the first)
-        for left in range(steps, -1, -1):
-            d = np.log2(th / tl)
-            done = d <= (close if left else math.inf)
-            if np.count_nonzero(done):
-                out[act[done]] = scale[act[done]] * np.sqrt(tl[done] * th[done])
-                act, a, tl, th, yl, yh, yp, d = (v[~done] for v in (act, a, tl, th, yl, yh, yp, d))
-            if not act.size:
-                break
-            # the step, as log2(t / lo); t is taken relative to lo, so it
-            # keeps full precision however far the root lies from the row max
-            s = np.fmin(np.fmax(d - d * (yh / (yh - yl)), 0.5 * close), d - 0.5 * close)
-            lim = close * 2.0 ** (left - 1)
-            if d.max() > lim:  # a row wider than lim bisects
-                s = np.where(d > lim, 0.5 * d, s)
-            t = tl * np.exp2(s)
-            y = level(a / t[:, None])
-            # q = y / yp, yp the last step's y, is >= 0 when this step replaces
-            # the end the last one did; the end kept then is scaled by m = 1 - q,
-            # or by 1/2 where that is not positive or q is NaN; q < 0 (the
-            # other end) gives m = 1, as does q = 0 (the first step: yp = inf)
-            q = y / yp
-            m = np.where(q < 1.0, np.fmin(1.0 - q, 1.0), 0.5)
-            down = y <= 0.0
-            tl, yl, yp = np.where(down, tl, t), np.where(down, m * yl, y), y
-            th, yh = np.where(down, t, th), np.where(down, y, m * yh)
+            lev, coarse = np.full((len(a), _LUX_X.size), np.nan), lev
+            lev[:, _LUX_COARSE] = coarse
+        solve = _lux_few if len(a) <= _LUX_FEW else _lux_vec
+        ends = solve(level, price, a, lev, one, close, steps)
+        out[act] = scale[act] * np.sqrt(ends[0] * ends[1])
     return out
+
+
+def _lux_vec(level, price, a, lev, one, close, steps) -> np.ndarray:
+    """`_lux_rows` on numpy arrays, for more than _LUX_FEW nonzero rows.
+
+    Takes and returns what `_lux_few` does: the scaled nonzero rows, their
+    first round of the start grid, the closing width and the step count in;
+    the (2, m) final brackets [lo, hi] out, 0 where a row's value is 0.
+    """
+    ends = np.zeros((2, a.shape[0]))  # rows with k = 0 keep the value 0
+    # g counts the coarse points read above 1 before the first at or below
+    # it; the points below the g-th one are not read
+    g = np.logical_and.accumulate(~(lev[:, _LUX_COARSE] <= 0.0), axis=1).sum(axis=1)
+    lev[_LUX_GROUP < g[:, None]] = np.nan
+    if not one:
+        r, j = np.nonzero((_LUX_GROUP == g[:, None]) & ~_LUX_COARSE)
+        lev[r, j] = price(a[r] / _LUX_T[j, None])
+    k = np.argmax(lev <= 0.0, axis=1)  # the first point read with S <= 1
+    at = np.arange(0, lev.size, _LUX_X.size) + k  # its flat index in lev
+    yh = lev.ravel()[at]
+    if not np.all(yh <= 0.0):
+        raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
+    live = np.arange(a.shape[0])  # the rows of a still stepping
+    if not k.all():
+        live, a, k, at, yh = (v[k > 0] for v in (live, a, k, at, yh))
+    tl, th, yl = _LUX_T[k - 1], _LUX_T[k], lev.ravel()[at - 1]
+    yp = np.full(k.size, np.inf)  # the y of the last step (inf before the first)
+    for left in range(steps, -1, -1):
+        d = np.log2(th / tl)
+        done = d <= (close if left else math.inf)
+        if np.count_nonzero(done):
+            ends[:, live[done]] = tl[done], th[done]
+            live, a, tl, th, yl, yh, yp, d = (v[~done] for v in (live, a, tl, th, yl, yh, yp, d))
+        if not live.size:
+            break
+        # the step, as log2(t / lo); t is taken relative to lo, so it
+        # keeps full precision however far the root lies from the row max
+        s = np.fmin(np.fmax(d - d * (yh / (yh - yl)), 0.5 * close), d - 0.5 * close)
+        lim = close * 2.0 ** (left - 1)
+        if d.max() > lim:  # a row wider than lim bisects
+            s = np.where(d > lim, 0.5 * d, s)
+        t = tl * np.exp2(s)
+        y = level(a / t[:, None])
+        # q = y / yp, yp the last step's y, is >= 0 when this step replaces
+        # the end the last one did; the end kept then is scaled by m = 1 - q,
+        # or by 1/2 where that is not positive or q is NaN; q < 0 (the
+        # other end) gives m = 1, as does q = 0 (the first step: yp = inf)
+        q = y / yp
+        m = np.where(q < 1.0, np.fmin(1.0 - q, 1.0), 0.5)
+        down = y <= 0.0
+        tl, yl, yp = np.where(down, tl, t), np.where(down, m * yl, y), y
+        th, yh = np.where(down, t, th), np.where(down, y, m * yh)
+    return ends
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -375,27 +398,25 @@ def _fdiv(a: float, b: float) -> float:
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _lux_few(level, price, a, act, scale, one, close, steps, out) -> None:
+def _lux_few(level, price, a, lev, one, close, steps) -> np.ndarray:
     """`_lux_rows` on per-row Python floats, for at most _LUX_FEW nonzero rows.
 
-    Takes the scaled nonzero rows a (the rows `act` of out), the row maxima
-    `scale`, whether the whole grid fits one call (`one`), the closing width
-    and the step count, and writes each row's value to out.  The start grid
-    is priced as the vector code prices it, the same points stacked in the
-    same order, and read on floats by the same rule: g is the index of the
-    first coarse point at or below 1 (3 if none is), and k the first point
-    at or below 1 from group g's first point on.  Each step then makes three
+    Takes the scaled nonzero rows a, their first round of the start grid as
+    `_lux_rows` priced it (lev: every point, or the coarse ones when the
+    whole grid does not fit one call, `one`), the closing width and the step
+    count, and returns the (2, m) final brackets [lo, hi] (0 where a row's
+    value is 0).  It reads the grid on floats by `_lux_vec`'s rule: g
+    is the index of the first coarse point at or below 1 (3 if none is),
+    group g's other points are priced as `_lux_vec` prices them, the
+    same points stacked in the same order, and k is the first point at or
+    below 1 from group g's first point on.  Each step then makes three
     numpy calls on arrays: log2 of the widths, exp2 of the steps and
     `level`; every other operation is the vector loop's IEEE arithmetic, in
     its order, on one row's floats, with numpy's rules where Python's
     differ: a division by 0 gives +-inf or NaN (`_fdiv`), fmax(NaN, h) is h,
-    a NaN q gives m = 1/2, and a NaN y is above 1.  So every value has the
-    vector code's bits.
+    a NaN q gives m = 1/2, and a NaN y is above 1.  So every bracket has the
+    vector loop's bits.
     """
-    cols = slice(None) if one else _LUX_COARSE
-    lev = np.full((len(act), _LUX_X.size), np.nan)
-    lev[:, cols] = price((a[:, None, :] / _LUX_T[cols][:, None]).reshape(-1, a.shape[1])
-                         ).reshape(len(act), -1)
     lev = lev.tolist()
     g = [next((c for c, j in enumerate(_LUX_FIRST[1:]) if row[j] <= 0.0), 3) for row in lev]
     if not one:  # group g's other points, row after row
@@ -407,13 +428,14 @@ def _lux_few(level, price, a, act, scale, one, close, steps, out) -> None:
          for gi, row in zip(g, lev)]
     if None in k:
         raise GaugeDefinitionError("Luxemburg level sum exceeds 1 at the bracket top")
-    keep = [i for i, ki in enumerate(k) if ki]  # rows with k = 0 keep the value 0
-    if not keep:
-        return
-    act, a = act[keep], a[keep]
-    tl, th = [_LUX_TF[k[i] - 1] for i in keep], [_LUX_TF[k[i]] for i in keep]
-    yl, yh = [lev[i][k[i] - 1] for i in keep], [lev[i][k[i]] for i in keep]
-    sc, act = scale[act].tolist(), act.tolist()
+    ends = [[0.0] * len(k), [0.0] * len(k)]  # rows with k = 0 keep the value 0
+    live = [i for i, ki in enumerate(k) if ki]  # the rows of a still stepping
+    if not live:
+        return np.array(ends)
+    if len(live) < len(k):
+        a = a[live]
+    tl, th = [_LUX_TF[k[i] - 1] for i in live], [_LUX_TF[k[i]] for i in live]
+    yl, yh = [lev[i][k[i] - 1] for i in live], [lev[i][k[i]] for i in live]
     yp = [math.inf] * len(tl)
     half = 0.5 * close
     for left in range(steps, -1, -1):
@@ -423,12 +445,12 @@ def _lux_few(level, price, a, act, scale, one, close, steps, out) -> None:
             keep = [i for i, v in enumerate(d) if v > stop]
             for i, v in enumerate(d):
                 if v <= stop:
-                    out[act[i]] = sc[i] * math.sqrt(tl[i] * th[i])
+                    ends[0][live[i]], ends[1][live[i]] = tl[i], th[i]
             if not keep:
-                return
+                break
             a = a[keep]
-            act, tl, th, yl, yh, yp, d, sc = ([v[i] for i in keep]
-                                              for v in (act, tl, th, yl, yh, yp, d, sc))
+            live, tl, th, yl, yh, yp, d = ([v[i] for i in keep]
+                                           for v in (live, tl, th, yl, yh, yp, d))
         # the vector loop's s = fmin(fmax(d - d yh / (yh - yl), close/2), d - close/2),
         # or d/2 where d > lim
         lim = close * 2.0 ** (left - 1)
@@ -453,6 +475,7 @@ def _lux_few(level, price, a, act, scale, one, close, steps, out) -> None:
                 th[i], yh[i], yl[i] = t[i], v, m * yl[i]
             else:
                 tl[i], yl[i], yh[i] = t[i], v, m * yh[i]
+    return np.array(ends)
 
 
 # ---------------------------------------------------------------------------

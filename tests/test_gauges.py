@@ -1,11 +1,14 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qnlab
 from qnlab import (
     Convexified,
     GaugeDefinitionError,
@@ -711,6 +714,48 @@ def test_power_kernels_skip_the_midpoint_check():
         assert sum(points) >= 1 + 1000 + 1000 * 999 // 2, p
     with pytest.raises(GaugeDefinitionError):
         OrliczFunction(name="t^2", evaluator=_power_eval(2.0), claimed_concave=True, p=2.0)
+
+
+def test_a_kernel_whose_p_its_evaluator_does_not_compute_is_refused():
+    # Orlicz prices a kernel with p set by the Lp closed form: loglog claiming
+    # p = 0.5 priced [1, 2] as L0.5 (5.82842712474619, tagged EXACT, kappa 2)
+    # where its Luxemburg gauge is 5.506167947704799
+    with pytest.raises(GaugeDefinitionError):
+        OrliczFunction(name="loglog", evaluator=_loglog_eval, p=0.5)
+    with pytest.raises(GaugeDefinitionError):
+        OrliczFunction(name="t^1", evaluator=_power_eval(1.0), claimed_concave=False, p=2.0)
+    f = ScalarField(np.array([1.0, 2.0]))
+    assert eval_gauge(Orlicz(builtin_phi("loglog")), counting_space(2), f).value == 5.506167947704799
+    for p in (0.02, 0.25, 1.0, 2.0, 8.0, 100.0):
+        assert builtin_phi("power", p).p == p
+        OrliczFunction(name="counted", evaluator=lambda t, ev=_power_eval(p): ev(t),
+                       claimed_concave=False, p=p)
+    OrliczFunction(name="sqrt", evaluator=lambda t: np.sqrt(np.asarray(t, dtype=float)), p=0.5)
+
+
+def test_builtin_phi_builds_each_kernel_once():
+    assert builtin_phi("power", 2) is builtin_phi("power", 2.0)
+    assert builtin_phi("power", 0.5) is builtin_phi("power", np.float64(0.5))
+    assert builtin_phi("loglog") is builtin_phi("loglog", 3.0)
+    assert builtin_phi("rational") is builtin_phi("rational", 0.5)
+    assert builtin_phi("power", 0.5).name == "power(0.5)"
+    assert [builtin_phi(n).name for n in ("loglog", "rational")] == ["loglog", "rational"]
+    # an unknown name and a missing p: test_orlicz_function_rejects_bad_kernels
+    for name, p in ((["loglog"], None), (None, None), ("power", 0.0), ("power", -1.0),
+                    ("power", -math.inf)):
+        with pytest.raises(InputError):
+            builtin_phi(name, p)
+    for p in (math.nan, math.inf):
+        with pytest.raises(GaugeDefinitionError):
+            builtin_phi("power", p)
+
+
+def test_qnlab_all_lists_every_public_name_its_init_imports():
+    tree = ast.parse(Path(qnlab.__file__).read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names if not (a.asname or a.name).startswith("_")}
+    assert sorted(qnlab.__all__) == sorted(imported)
+    assert not {"power_phi", "loglog_phi", "rational_phi"} & set(vars(qnlab))
 
 
 def test_kernel_check_traced_memory_peak_is_under_8_mb():

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnlab import (
@@ -23,6 +25,7 @@ from qnlab import (
     uniform_probability_space,
     weak_l1_value,
 )
+from qnlab.measure import _lp_rows, _weak_l1_rows
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +277,55 @@ def test_restrict_space_and_field():
         restrict(s, [])
     with pytest.raises(InputError):
         restrict(s, [9])
+
+
+# ---------------------------------------------------------------------------
+# accuracy of the row kernels
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _kernel_rows(draw):
+    """(row, weights, p): n <= 4096 entries within 1e+-300, p in [0.02, 8],
+    counting, probability or spread weights."""
+    n = draw(st.integers(1, 4096))
+    p = draw(st.floats(0.02, 8.0))
+    center = draw(st.floats(-300.0, 300.0))
+    spread = draw(st.sampled_from([0.0, 1.0, 30.0, 300.0]))
+    weights = draw(st.sampled_from(["counting", "probability", "spread"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = 10.0 ** np.clip(center + rng.uniform(-spread, spread, n), -300.0, 300.0)
+    w = {"counting": np.ones(n), "probability": np.full(n, 1.0 / n),
+         "spread": np.exp(rng.uniform(-7.0, 7.0, n))}[weights]
+    return row, w, p
+
+
+# the Riemann-sum field of rolewicz_counterexample(0.02, 2250): every entry is
+# mass * n, a sum of one nonzero product; its norm reads 1.0000000000012768
+_ROLEWICZ = (np.full(2250, 1.0 / 2250) * 2250.0, np.full(2250, 1.0 / 2250), 0.02)
+
+
+@settings(max_examples=60)
+@example(case=_ROLEWICZ)
+@given(case=_kernel_rows())
+def test_row_kernels_meet_their_stated_error_bounds(case):
+    # L_p: u (4 + (n + 2)/p + |ln V|) against a 40-digit sum; weak-L1: n u
+    # against the exact rational value of the same floats
+    row, w, p = case
+    n, u = row.size, 2.0**-53
+    got = float(_lp_rows(row[None, :], p, w)[0])
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)
+        exact = mpmath.fsum(mpmath.mpf(wj) * mpmath.mpf(a) ** q
+                            for a, wj in zip(row.tolist(), w.tolist())) ** (1 / q)
+        if exact > np.finfo(float).max:
+            assert got == math.inf
+        elif exact >= np.finfo(float).tiny:
+            err = float(abs(mpmath.mpf(got) - exact) / exact)
+            assert err <= u * (4.0 + (n + 2) / p + abs(float(mpmath.log(exact))))
+    order = np.argsort(-row, kind="stable")
+    mass, best = Fraction(0), Fraction(0)
+    for v, wj in zip(row[order].tolist(), w[order].tolist()):
+        mass += Fraction(wj)
+        best = max(best, Fraction(v) * mass)
+    got = Fraction(float(_weak_l1_rows(row[None, :], w)[0]))
+    assert abs(got - best) <= n * Fraction(u) * best

@@ -8,7 +8,8 @@ from pathlib import Path
 import qnlab
 
 PACKAGE = Path(qnlab.__file__).resolve().parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _unused_imports(tree: ast.AST) -> list:
@@ -84,3 +85,26 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         if not found:
             missing.append(f"{modname}.{attr}")
     assert missing == []
+
+
+def _tool(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=ROOT)
+
+
+def test_src_lines_totals_every_module_of_the_package():
+    out = _tool("tools/src_lines.py", "src/qnlab")
+    assert out.returncode == 0, out.stderr
+    *files, total = [line.split() for line in out.stdout.splitlines()]
+    assert [f[2] for f in files] == sorted(p.name for p in (ROOT / "src" / "qnlab").glob("*.py"))
+    assert total[2] == "total"
+    assert [int(v) for v in total[:2]] == [sum(int(f[i]) for f in files) for i in (0, 1)]
+    assert 0 < int(total[1]) < int(total[0])
+
+
+def test_lux_crossover_runs_and_both_solvers_give_the_same_bits():
+    # it exits non-zero when the float and vector solvers differ in bits;
+    # width 6000 takes the two-round start read (12 m n > 2^16)
+    out = _tool("tools/lux_crossover.py", "--rows", "1-2", "--widths", "2,6000",
+                "--repeat", "1", "--number", "1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1].startswith("float solver faster at every width up to")

@@ -32,7 +32,7 @@ from qnlab import gauges  # noqa: E402
 def _batches(m: int, n: int, seed: int):
     rng = np.random.default_rng([seed, m, n])
     return [(phi, np.exp(rng.uniform(-3.0, 3.0, size=(m, n))))
-            for phi in (gauges.loglog_phi(), gauges.rational_phi())]
+            for phi in (gauges.builtin_phi("loglog"), gauges.builtin_phi("rational"))]
 
 
 def _time(batches, w, few: int, number: int) -> float:
